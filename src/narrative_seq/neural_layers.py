@@ -16,7 +16,15 @@ the simple cell and dense hidden layer default to ReLU. Both are
 configurable on ``ModelSpec``.
 
 Parameter tensors live in a flat name->array dict in a canonical order (see
-``param_shapes``); the README documents the shape table.
+``param_shapes``); the README documents the shape table. Storage stays
+per-gate; the recurrent kernel concatenates each direction's gates into one
+fused ``[in, G*H]``, ``[H, G*H]`` and ``[G*H]`` set per call, sigmoid gates
+first, and is the only forward implementation of each cell: training,
+evaluation, the sequence functions and the ``*_step`` functions all run it.
+It projects the inputs with one GEMM per ``CHUNK_STEPS`` time steps, takes
+one recurrent GEMM (two for the GRU, whose candidate needs the reset gate)
+and one sigmoid call per step, and keeps its caches time-major
+(``[L, B, ...]``) so every per-step read and write is one contiguous block.
 """
 
 from __future__ import annotations
@@ -229,53 +237,229 @@ def _sub_params(params: Mapping[str, Tensor], prefix: str) -> ParamDict:
 
 
 # ---------------------------------------------------------------------------
-# Cell steps
+# Fused recurrent kernel: one direction of one layer over a whole sequence
 # ---------------------------------------------------------------------------
 
-def _check_cell_shapes(x: Tensor, h_prev: Tensor, W: Tensor, U: Tensor, b: Tensor):
-    if x.shape[-1] != W.shape[0]:
-        raise DimensionError(f"input width {x.shape} does not match W {W.shape}")
-    if h_prev.shape[-1] != U.shape[0]:
-        raise DimensionError(f"state width {h_prev.shape} does not match U {U.shape}")
-    if not (W.shape[1] == U.shape[1] == b.shape[0]):
-        raise DimensionError(
-            f"inconsistent gate shapes W {W.shape}, U {U.shape}, b {b.shape}"
-        )
+# Gate order in the fused [in, G*H] / [H, G*H] / [G*H] matrices. The sigmoid
+# gates come first, so one sigmoid call covers them each step; the cell
+# activation covers the rest. Parameter storage keeps the GATE_NAMES order.
+FUSED_GATES: Mapping[CellKind, tuple[str, ...]] = {
+    CellKind.SRNN: ("",),
+    CellKind.LSTM: ("_i", "_f", "_o", "_g"),
+    CellKind.GRU: ("_z", "_r", "_h"),
+}
+_SIGMOID_GATES = {CellKind.SRNN: 0, CellKind.LSTM: 3, CellKind.GRU: 2}
+
+# Time steps per input-projection GEMM. One GEMM over a whole sequence would
+# hold an [L, B, G*H] buffer (262 MB for an LSTM at L=2000, B=64, H=64); a
+# chunk keeps it near 8 MB and still amortises the call over many steps.
+CHUNK_STEPS = 64
 
 
-def _affine(x: Tensor, h_prev: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
-    _check_cell_shapes(x, h_prev, W, U, b)
-    return matmul(x, W) + matmul(h_prev, U) + b
+def _kind_activation(kind: CellKind, hidden_activation: str,
+                     cell_activation: str) -> str:
+    return hidden_activation if kind is CellKind.SRNN else cell_activation
 
 
-def _srnn_cell(x, h_prev, p, activation: str):
+def _gate_columns(kind: CellKind, hidden: int) -> dict[str, slice]:
+    return {gate: slice(k * hidden, (k + 1) * hidden)
+            for k, gate in enumerate(FUSED_GATES[kind])}
+
+
+def _fuse_params(kind: CellKind, p: Mapping[str, Tensor], n_in: int, hidden: int
+                 ) -> tuple[Tensor, Tensor, Tensor]:
+    """Concatenate per-gate W, U and b in FUSED_GATES order.
+
+    The GRU's U covers z and r only: its candidate multiplies ``r * h_prev``
+    by ``U_h``, which the step applies on its own.
+    """
+    gates = FUSED_GATES[kind]
+    expected = {"W": (n_in, hidden), "U": (hidden, hidden), "b": (hidden,)}
+    for gate in gates:
+        for mat, shape in expected.items():
+            if p[mat + gate].shape != shape:
+                raise DimensionError(
+                    f"{mat}{gate} has shape {p[mat + gate].shape}, expected {shape} "
+                    f"for input width {n_in} and state width {hidden}"
+                )
+    recurrent = gates[:2] if kind is CellKind.GRU else gates
+    return (np.concatenate([p[f"W{g}"] for g in gates], axis=1),
+            np.concatenate([p[f"U{g}"] for g in recurrent], axis=1),
+            np.concatenate([p[f"b{g}"] for g in gates]))
+
+
+@dataclass
+class DirectionCache:
+    """Everything the backward pass needs for one direction of one layer.
+
+    Arrays are time-major, so each step reads and writes one contiguous
+    block, and in this direction's processing order (the bidirectional
+    wrapper reverses inputs before calling in).
+    """
+
+    kind: CellKind
+    x: Tensor                      # [L, B, in]
+    h: Tensor                      # [L+1, B, H]; h[0] initial, post-mask states
+    gates: Tensor | None = None    # [L, B, G*H] activated gates, FUSED_GATES order
+    c: Tensor | None = None        # [L+1, B, H] LSTM cell states, post-mask
+    ac: Tensor | None = None       # [L, B, H] LSTM act(c) before masking
+    mask: Tensor | None = None     # [L, B, 1], 1.0 at real tokens
+
+
+def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
+                       activation: str, mask: Tensor | None,
+                       h0: Tensor | None = None, c0: Tensor | None = None
+                       ) -> DirectionCache:
+    """Run one cell over ``x`` [L, B, in] from ``h0``/``c0`` (zeros by default).
+
+    ``activation`` is the cell's own: the simple cell's, or the LSTM/GRU
+    candidate and state activation.
+    """
+    L, B, n_in = x.shape
+    H = p[f"b{FUSED_GATES[kind][0]}"].shape[0] if h0 is None else h0.shape[-1]
+    W, U, b = _fuse_params(kind, p, n_in, H)
     act, _ = _ACTIVATIONS[activation]
-    h = act(_affine(x, h_prev, p["W"], p["U"], p["b"]))
-    return h, {}
+    n_sig = _SIGMOID_GATES[kind] * H
+    cols = _gate_columns(kind, H)
+    h = np.empty((L + 1, B, H))
+    h[0] = 0.0 if h0 is None else h0
+    cache = DirectionCache(kind=kind, x=x, h=h, mask=mask)
+    if kind is CellKind.LSTM:
+        cache.c = np.empty((L + 1, B, H))
+        cache.c[0] = 0.0 if c0 is None else c0
+        cache.ac = np.empty((L, B, H))
+    if kind is not CellKind.SRNN:
+        cache.gates = np.empty((L, B, W.shape[1]))
+    c, ac, gates = cache.c, cache.ac, cache.gates
+
+    for t0 in range(0, L, CHUNK_STEPS):
+        # The bias is added after x W + h U, in the same order as a per-gate
+        # affine map, so the fused kernel reproduces it bit for bit.
+        xw = matmul(x[t0:t0 + CHUNK_STEPS].reshape(-1, n_in), W).reshape(-1, B, W.shape[1])
+        for t in range(t0, t0 + xw.shape[0]):
+            xw_t, h_prev = xw[t - t0], h[t]
+            if kind is CellKind.SRNN:
+                new_h = act(xw_t + matmul(h_prev, U) + b)
+            elif kind is CellKind.LSTM:
+                pre = xw_t + matmul(h_prev, U) + b
+                g_t = gates[t]
+                g_t[:, :n_sig] = sigmoid(pre[:, :n_sig])
+                g_t[:, n_sig:] = act(pre[:, n_sig:])
+                i, f, o, g = (g_t[:, cols[k]] for k in ("_i", "_f", "_o", "_g"))
+                new_c = f * c[t] + i * g
+                ac[t] = act(new_c)
+                new_h = o * ac[t]
+            else:
+                g_t = gates[t]
+                g_t[:, :n_sig] = sigmoid(xw_t[:, :n_sig] + matmul(h_prev, U) + b[:n_sig])
+                z, r, hbar = (g_t[:, cols[k]] for k in ("_z", "_r", "_h"))
+                hbar[:] = act(xw_t[:, n_sig:] + matmul(r * h_prev, p["U_h"]) + b[n_sig:])
+                new_h = (1.0 - z) * h_prev + z * hbar
+            if mask is None:
+                h[t + 1] = new_h
+                if c is not None:
+                    c[t + 1] = new_c
+            else:
+                m = mask[t]
+                h[t + 1] = m * new_h + (1.0 - m) * h_prev
+                if c is not None:
+                    c[t + 1] = m * new_c + (1.0 - m) * c[t]
+    return cache
 
 
-def _lstm_cell(x, h_prev, c_prev, p, cell_activation: str):
-    act, _ = _ACTIVATIONS[cell_activation]
-    i = sigmoid(_affine(x, h_prev, p["W_i"], p["U_i"], p["b_i"]))
-    f = sigmoid(_affine(x, h_prev, p["W_f"], p["U_f"], p["b_f"]))
-    g = act(_affine(x, h_prev, p["W_g"], p["U_g"], p["b_g"]))
-    o = sigmoid(_affine(x, h_prev, p["W_o"], p["U_o"], p["b_o"]))
-    c = f * c_prev + i * g
-    ac = act(c)
-    h = o * ac
-    return h, c, {"i": i, "f": f, "g": g, "o": o, "ac": ac}
+def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Tensor],
+                        activation: str) -> tuple[Tensor, ParamDict]:
+    """Exact BPTT for one direction; returns (d_inputs [L, B, in], gradients).
 
+    ``d_out`` is the gradient of every step's output [L, B, H], or of the
+    final state only [B, H].
 
-def _gru_cell(x, h_prev, p, cell_activation: str):
-    act, _ = _ACTIVATIONS[cell_activation]
-    z = sigmoid(_affine(x, h_prev, p["W_z"], p["U_z"], p["b_z"]))
-    r = sigmoid(_affine(x, h_prev, p["W_r"], p["U_r"], p["b_r"]))
-    hbar = act(matmul(x, p["W_h"]) + matmul(r * h_prev, p["U_h"]) + p["b_h"])
-    h = (1.0 - z) * h_prev + z * hbar
-    return h, {"z": z, "r": r, "hbar": hbar}
+    ``dW`` and ``dU`` take one GEMM per step into fused buffers. The input
+    and state gradients keep one GEMM per gate, summed in GATE_NAMES order:
+    fusing them would change the summation order and hence the bits.
+    """
+    kind = cache.kind
+    _, act_deriv = _ACTIVATIONS[activation]
+    L, B, n_in = cache.x.shape
+    H = cache.h.shape[2]
+    n_sig = _SIGMOID_GATES[kind] * H
+    cols = _gate_columns(kind, H)
+    d_pre = np.empty((B, len(cols) * H))
+    dW = np.zeros((n_in, d_pre.shape[1]))
+    dU = np.zeros((H, n_sig if kind is CellKind.GRU else d_pre.shape[1]))
+    db = np.zeros(d_pre.shape[1])
+    dU_h = np.zeros((H, H)) if kind is CellKind.GRU else None
+    x_terms = [(cols[g], p[f"W{g}"].T) for g in GATE_NAMES[kind]]
+    h_terms = [(cols[g], p[f"U{g}"].T) for g in GATE_NAMES[kind]
+               if not (kind is CellKind.GRU and g == "_h")]
+    d_x = np.zeros_like(cache.x)
+    sequence = d_out.ndim == 3
+    dh_carry = np.zeros((B, H)) if sequence else d_out
+    dc_carry = np.zeros((B, H))
+
+    for t in range(L - 1, -1, -1):
+        x_t, h_prev = cache.x[t], cache.h[t]
+        dh_total = d_out[t] + dh_carry if sequence else dh_carry
+        if cache.mask is None:
+            dh_raw, dc_raw_in = dh_total, dc_carry
+        else:
+            m = cache.mask[t]
+            dh_raw = dh_total * m
+            dh_prev_extra = dh_total * (1.0 - m)
+            dc_raw_in = dc_carry * m
+            dc_prev_extra = dc_carry * (1.0 - m)
+
+        if kind is CellKind.SRNN:
+            # h[t+1] equals the pre-mask state wherever the mask lets the
+            # gradient through.
+            d_pre[:] = dh_raw * act_deriv(cache.h[t + 1])
+            dh = np.zeros((B, H))
+        elif kind is CellKind.LSTM:
+            g_t = cache.gates[t]
+            i, f, o, g = (g_t[:, cols[k]] for k in ("_i", "_f", "_o", "_g"))
+            ac = cache.ac[t]
+            dc = dc_raw_in + dh_raw * o * act_deriv(ac)
+            d_pre[:, cols["_i"]] = dc * g
+            d_pre[:, cols["_f"]] = dc * cache.c[t]
+            d_pre[:, cols["_o"]] = dh_raw * ac
+            d_pre[:, :n_sig] *= _sigmoid_deriv(g_t[:, :n_sig])
+            d_pre[:, cols["_g"]] = dc * i * act_deriv(g)
+            dh = np.zeros((B, H))
+            dc_carry = dc * f
+            if cache.mask is not None:
+                dc_carry += dc_prev_extra
+        else:  # GRU
+            g_t = cache.gates[t]
+            z, r, hbar = (g_t[:, cols[k]] for k in ("_z", "_r", "_h"))
+            d_pre[:, cols["_h"]] = dh_raw * z * act_deriv(hbar)
+            d_rh = matmul(d_pre[:, cols["_h"]], p["U_h"].T)
+            d_pre[:, cols["_z"]] = dh_raw * (hbar - h_prev)
+            d_pre[:, cols["_r"]] = d_rh * h_prev
+            d_pre[:, :n_sig] *= _sigmoid_deriv(g_t[:, :n_sig])
+            dU_h += matmul((r * h_prev).T, d_pre[:, cols["_h"]])
+            dh = dh_raw * (1.0 - z) + d_rh * r
+
+        dW += matmul(x_t.T, d_pre)
+        dU += matmul(h_prev.T, d_pre[:, :dU.shape[1]])
+        db += d_pre.sum(axis=0)
+        for cs, Wt in x_terms:
+            d_x[t] += matmul(d_pre[:, cs], Wt)
+        for cs, Ut in h_terms:
+            dh += matmul(d_pre[:, cs], Ut)
+        if cache.mask is not None:
+            dh += dh_prev_extra
+        dh_carry = dh
+
+    grads: ParamDict = {}
+    for gate, cs in cols.items():
+        grads[f"W{gate}"] = dW[:, cs]
+        grads[f"U{gate}"] = dU_h if gate == "_h" else dU[:, cs]
+        grads[f"b{gate}"] = db[cs]
+    return d_x, grads
 
 
 def _as_batch(v: Tensor) -> tuple[Tensor, bool]:
+    v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         return v[None, :], True
     return v, False
@@ -284,9 +468,9 @@ def _as_batch(v: Tensor) -> tuple[Tensor, bool]:
 def srnn_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
               activation: str = "relu") -> Tensor:
     """One simple-cell step: act(W x + U h_prev + b); ReLU by default."""
-    x, squeeze = _as_batch(np.asarray(x_t, dtype=np.float64))
-    h_prev, _ = _as_batch(np.asarray(h_prev, dtype=np.float64))
-    h, _ = _srnn_cell(x, h_prev, params, activation)
+    x, squeeze = _as_batch(x_t)
+    h_prev, _ = _as_batch(h_prev)
+    h = _direction_forward(x[None], CellKind.SRNN, params, activation, None, h_prev).h[1]
     return h[0] if squeeze else h
 
 
@@ -294,186 +478,37 @@ def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: Mapping[str, Tensor],
               cell_activation: str = "tanh") -> tuple[Tensor, Tensor]:
     """One LSTM step; gates are logistic sigmoid regardless of configuration."""
-    x, squeeze = _as_batch(np.asarray(x_t, dtype=np.float64))
-    h_prev, _ = _as_batch(np.asarray(h_prev, dtype=np.float64))
-    c_prev, _ = _as_batch(np.asarray(c_prev, dtype=np.float64))
-    h, c, _ = _lstm_cell(x, h_prev, c_prev, params, cell_activation)
+    x, squeeze = _as_batch(x_t)
+    h_prev, _ = _as_batch(h_prev)
+    c_prev, _ = _as_batch(c_prev)
+    if c_prev.shape != h_prev.shape:
+        raise DimensionError(f"cell state {c_prev.shape} does not match h_prev {h_prev.shape}")
+    cache = _direction_forward(x[None], CellKind.LSTM, params, cell_activation, None,
+                               h_prev, c_prev)
+    h, c = cache.h[1], cache.c[1]
     return (h[0], c[0]) if squeeze else (h, c)
 
 
 def gru_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
              cell_activation: str = "tanh") -> Tensor:
     """One GRU step with the reset gate applied to h_prev inside U_h."""
-    x, squeeze = _as_batch(np.asarray(x_t, dtype=np.float64))
-    h_prev, _ = _as_batch(np.asarray(h_prev, dtype=np.float64))
-    h, _ = _gru_cell(x, h_prev, params, cell_activation)
+    x, squeeze = _as_batch(x_t)
+    h_prev, _ = _as_batch(h_prev)
+    h = _direction_forward(x[None], CellKind.GRU, params, cell_activation, None, h_prev).h[1]
     return h[0] if squeeze else h
-
-
-# ---------------------------------------------------------------------------
-# One direction over a full sequence
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DirectionCache:
-    """Everything the backward pass needs for one direction of one layer.
-
-    All time-indexed arrays are stored in this direction's processing order
-    (the bidirectional wrapper reverses inputs before calling in).
-    """
-
-    kind: CellKind
-    x: Tensor                      # [B, L, in]
-    h: Tensor                      # [B, L+1, H]; h[:, 0] = 0, post-mask states
-    h_raw: Tensor                  # [B, L, H] pre-mask candidate states
-    gates: dict[str, Tensor]       # per-kind auxiliaries, each [B, L, H]
-    c: Tensor | None = None        # [B, L+1, H] LSTM cell states, post-mask
-    c_raw: Tensor | None = None    # [B, L, H]
-    mask: Tensor | None = None     # [B, L, 1], 1.0 at real tokens
-
-
-def _direction_forward(x_seq: Tensor, kind: CellKind, p: ParamDict,
-                       hidden_activation: str, cell_activation: str,
-                       mask: Tensor | None) -> tuple[Tensor, DirectionCache]:
-    B, L, _ = x_seq.shape
-    H = p["b" if kind is CellKind.SRNN else "b_i" if kind is CellKind.LSTM else "b_z"].shape[0]
-    h = np.zeros((B, L + 1, H))
-    h_raw = np.empty((B, L, H))
-    gates: dict[str, Tensor] = {}
-    c = c_raw = None
-    if kind is CellKind.LSTM:
-        c = np.zeros((B, L + 1, H))
-        c_raw = np.empty((B, L, H))
-        gates = {k: np.empty((B, L, H)) for k in ("i", "f", "g", "o", "ac")}
-    elif kind is CellKind.GRU:
-        gates = {k: np.empty((B, L, H)) for k in ("z", "r", "hbar")}
-
-    for t in range(L):
-        x_t, h_prev = x_seq[:, t], h[:, t]
-        if kind is CellKind.SRNN:
-            new_h, _ = _srnn_cell(x_t, h_prev, p, hidden_activation)
-        elif kind is CellKind.LSTM:
-            new_h, new_c, step_gates = _lstm_cell(x_t, h_prev, c[:, t], p, cell_activation)
-            c_raw[:, t] = new_c
-            for k, v in step_gates.items():
-                gates[k][:, t] = v
-        else:
-            new_h, step_gates = _gru_cell(x_t, h_prev, p, cell_activation)
-            for k, v in step_gates.items():
-                gates[k][:, t] = v
-        h_raw[:, t] = new_h
-        if mask is None:
-            h[:, t + 1] = new_h
-            if kind is CellKind.LSTM:
-                c[:, t + 1] = c_raw[:, t]
-        else:
-            m = mask[:, t]
-            h[:, t + 1] = m * new_h + (1.0 - m) * h_prev
-            if kind is CellKind.LSTM:
-                c[:, t + 1] = m * c_raw[:, t] + (1.0 - m) * c[:, t]
-
-    cache = DirectionCache(kind=kind, x=x_seq, h=h, h_raw=h_raw, gates=gates,
-                           c=c, c_raw=c_raw, mask=mask)
-    return h[:, 1:], cache
-
-
-def _direction_backward(d_out_seq: Tensor, cache: DirectionCache, p: ParamDict,
-                        hidden_activation: str, cell_activation: str
-                        ) -> tuple[Tensor, ParamDict]:
-    """Exact BPTT for one direction; returns (d_inputs, gradient dict)."""
-    _, act_deriv = _ACTIVATIONS[
-        hidden_activation if cache.kind is CellKind.SRNN else cell_activation
-    ]
-    B, L, _ = cache.x.shape
-    grads = {name: np.zeros_like(value) for name, value in p.items()}
-    d_x = np.zeros_like(cache.x)
-    dh_carry = np.zeros_like(cache.h[:, 0])
-    dc_carry = np.zeros_like(dh_carry)
-
-    for t in range(L - 1, -1, -1):
-        x_t, h_prev = cache.x[:, t], cache.h[:, t]
-        dh_total = d_out_seq[:, t] + dh_carry
-        if cache.mask is None:
-            dh_raw = dh_total
-            dh_prev_extra = 0.0
-            dc_raw_in = dc_carry
-            dc_prev_extra = 0.0
-        else:
-            m = cache.mask[:, t]
-            dh_raw = dh_total * m
-            dh_prev_extra = dh_total * (1.0 - m)
-            dc_raw_in = dc_carry * m
-            dc_prev_extra = dc_carry * (1.0 - m)
-
-        if cache.kind is CellKind.SRNN:
-            d_pre = dh_raw * act_deriv(cache.h_raw[:, t])
-            grads["W"] += matmul(x_t.T, d_pre)
-            grads["U"] += matmul(h_prev.T, d_pre)
-            grads["b"] += d_pre.sum(axis=0)
-            d_x[:, t] = matmul(d_pre, p["W"].T)
-            dh_carry = matmul(d_pre, p["U"].T) + dh_prev_extra
-
-        elif cache.kind is CellKind.LSTM:
-            g = cache.gates
-            i, f, gg, o, ac = (g[k][:, t] for k in ("i", "f", "g", "o", "ac"))
-            c_prev = cache.c[:, t]
-            do = dh_raw * ac
-            dc = dc_raw_in + dh_raw * o * act_deriv(ac)
-            d_pre = {
-                "_o": do * _sigmoid_deriv(o),
-                "_i": dc * gg * _sigmoid_deriv(i),
-                "_f": dc * c_prev * _sigmoid_deriv(f),
-                "_g": dc * i * act_deriv(gg),
-            }
-            dx_t = np.zeros_like(x_t)
-            dh_prev = np.zeros_like(h_prev)
-            for gate in ("_i", "_f", "_g", "_o"):
-                dp = d_pre[gate]
-                grads[f"W{gate}"] += matmul(x_t.T, dp)
-                grads[f"U{gate}"] += matmul(h_prev.T, dp)
-                grads[f"b{gate}"] += dp.sum(axis=0)
-                dx_t += matmul(dp, p[f"W{gate}"].T)
-                dh_prev += matmul(dp, p[f"U{gate}"].T)
-            d_x[:, t] = dx_t
-            dh_carry = dh_prev + dh_prev_extra
-            dc_carry = dc * f + dc_prev_extra
-
-        else:  # GRU
-            g = cache.gates
-            z, r, hbar = (g[k][:, t] for k in ("z", "r", "hbar"))
-            dz = dh_raw * (hbar - h_prev)
-            d_pre_z = dz * _sigmoid_deriv(z)
-            d_pre_h = dh_raw * z * act_deriv(hbar)
-            d_rh = matmul(d_pre_h, p["U_h"].T)
-            d_pre_r = d_rh * h_prev * _sigmoid_deriv(r)
-            grads["W_z"] += matmul(x_t.T, d_pre_z)
-            grads["U_z"] += matmul(h_prev.T, d_pre_z)
-            grads["b_z"] += d_pre_z.sum(axis=0)
-            grads["W_r"] += matmul(x_t.T, d_pre_r)
-            grads["U_r"] += matmul(h_prev.T, d_pre_r)
-            grads["b_r"] += d_pre_r.sum(axis=0)
-            grads["W_h"] += matmul(x_t.T, d_pre_h)
-            grads["U_h"] += matmul((r * h_prev).T, d_pre_h)
-            grads["b_h"] += d_pre_h.sum(axis=0)
-            d_x[:, t] = (
-                matmul(d_pre_z, p["W_z"].T)
-                + matmul(d_pre_r, p["W_r"].T)
-                + matmul(d_pre_h, p["W_h"].T)
-            )
-            dh_carry = (
-                dh_raw * (1.0 - z)
-                + d_rh * r
-                + matmul(d_pre_z, p["U_z"].T)
-                + matmul(d_pre_r, p["U_r"].T)
-                + dh_prev_extra
-            )
-
-    return d_x, grads
 
 
 # ---------------------------------------------------------------------------
 # Layer-level forward/backward (public sequence ops)
 # ---------------------------------------------------------------------------
+
+def _bidirectional_outputs(fwd: DirectionCache, bwd: DirectionCache,
+                           returns_sequence: bool) -> Tensor:
+    """Time-major [L, B, 2H] per-step outputs, or [B, 2H] final states."""
+    if returns_sequence:
+        return np.concatenate([fwd.h[1:], bwd.h[:0:-1]], axis=2)
+    return np.concatenate([fwd.h[-1], bwd.h[-1]], axis=1)
+
 
 def recurrent_forward(inputs: Tensor, layer: RecurrentLayerSpec,
                       params: Mapping[str, Tensor],
@@ -487,9 +522,9 @@ def recurrent_forward(inputs: Tensor, layer: RecurrentLayerSpec,
     if layer.bidirectional:
         raise DimensionError("use bidirectional_forward for bidirectional layers")
     x, squeeze = _as_seq_batch(inputs)
-    out, _ = _direction_forward(x, layer.kind, dict(params),
-                                hidden_activation, cell_activation, mask=None)
-    result = out if layer.returns_sequence else out[:, -1]
+    activation = _kind_activation(layer.kind, hidden_activation, cell_activation)
+    h = _direction_forward(x, layer.kind, params, activation, mask=None).h
+    result = h[1:].transpose(1, 0, 2) if layer.returns_sequence else h[-1]
     return result[0] if squeeze else result
 
 
@@ -506,23 +541,22 @@ def bidirectional_forward(inputs: Tensor, layer: RecurrentLayerSpec,
     if not layer.bidirectional:
         raise DimensionError("layer.bidirectional must be true")
     x, squeeze = _as_seq_batch(inputs)
-    fwd_out, _ = _direction_forward(x, layer.kind, dict(params_fwd),
-                                    hidden_activation, cell_activation, mask=None)
-    bwd_out_rev, _ = _direction_forward(x[:, ::-1], layer.kind, dict(params_bwd),
-                                        hidden_activation, cell_activation, mask=None)
+    activation = _kind_activation(layer.kind, hidden_activation, cell_activation)
+    fwd = _direction_forward(x, layer.kind, params_fwd, activation, mask=None)
+    bwd = _direction_forward(x[::-1], layer.kind, params_bwd, activation, mask=None)
+    result = _bidirectional_outputs(fwd, bwd, layer.returns_sequence)
     if layer.returns_sequence:
-        result = np.concatenate([fwd_out, bwd_out_rev[:, ::-1]], axis=2)
-    else:
-        result = np.concatenate([fwd_out[:, -1], bwd_out_rev[:, -1]], axis=1)
+        result = result.transpose(1, 0, 2)
     return result[0] if squeeze else result
 
 
 def _as_seq_batch(inputs: Tensor) -> tuple[Tensor, bool]:
+    """Time-major [L, B, d] view of [L, d] or [B, L, d] inputs."""
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim == 2:
-        return arr[None], True
+        return arr[:, None], True
     if arr.ndim == 3:
-        return arr, False
+        return arr.transpose(1, 0, 2), False
     raise DimensionError(f"expected [L, d] or [B, L, d] inputs, got {arr.shape}")
 
 
@@ -546,7 +580,7 @@ class ForwardCache:
     features: Tensor | None = None    # [B, feature_width]
     hidden: Tensor | None = None      # [B, dense_hidden], post-activation
     probs: Tensor | None = None       # [B, num_classes]
-    mask: Tensor | None = None
+    mask: Tensor | None = None        # [L, B, 1], 1.0 at real tokens
     squeezed: bool = False
 
 
@@ -572,9 +606,9 @@ def model_forward(seq: Tensor, spec: ModelSpec, params: Mapping[str, Tensor]
         ids = ids[None, :]
     cache = ForwardCache(ids=ids, squeezed=squeezed)
     if spec.mask_padding:
-        cache.mask = (ids != 0).astype(np.float64)[:, :, None]
+        cache.mask = (ids.T != 0).astype(np.float64)[:, :, None]
 
-    x = embedding_forward(ids, params["embedding"])
+    x = embedding_forward(ids.T, params["embedding"])
     for i, layer in enumerate(spec.recurrent_stack):
         x, state = _layer_forward(x, i, layer, spec, params, cache.mask)
         cache.layers.append(state)
@@ -596,27 +630,19 @@ def model_forward(seq: Tensor, spec: ModelSpec, params: Mapping[str, Tensor]
 def _layer_forward(x: Tensor, index: int, layer: RecurrentLayerSpec,
                    spec: ModelSpec, params: Mapping[str, Tensor],
                    mask: Tensor | None) -> tuple[Tensor, LayerState]:
+    """Time-major layer outputs: [L, B, width] or final states [B, width]."""
+    activation = _kind_activation(layer.kind, spec.hidden_activation, spec.cell_activation)
     if layer.bidirectional:
-        p_fwd = _sub_params(params, _prefix(index, "fwd"))
-        p_bwd = _sub_params(params, _prefix(index, "bwd"))
-        fwd_out, fwd_cache = _direction_forward(
-            x, layer.kind, p_fwd, spec.hidden_activation, spec.cell_activation, mask
-        )
-        rev_mask = mask[:, ::-1] if mask is not None else None
-        bwd_out_rev, bwd_cache = _direction_forward(
-            x[:, ::-1], layer.kind, p_bwd,
-            spec.hidden_activation, spec.cell_activation, rev_mask,
-        )
-        state = LayerState(spec=layer, fwd=fwd_cache, bwd=bwd_cache)
-        if layer.returns_sequence:
-            return np.concatenate([fwd_out, bwd_out_rev[:, ::-1]], axis=2), state
-        return np.concatenate([fwd_out[:, -1], bwd_out_rev[:, -1]], axis=1), state
-    p = _sub_params(params, _prefix(index, ""))
-    out, dir_cache = _direction_forward(
-        x, layer.kind, p, spec.hidden_activation, spec.cell_activation, mask
-    )
-    state = LayerState(spec=layer, fwd=dir_cache)
-    return (out if layer.returns_sequence else out[:, -1]), state
+        fwd = _direction_forward(x, layer.kind, _sub_params(params, _prefix(index, "fwd")),
+                                 activation, mask)
+        bwd = _direction_forward(x[::-1], layer.kind,
+                                 _sub_params(params, _prefix(index, "bwd")), activation,
+                                 mask[::-1] if mask is not None else None)
+        out = _bidirectional_outputs(fwd, bwd, layer.returns_sequence)
+        return out, LayerState(spec=layer, fwd=fwd, bwd=bwd)
+    fwd = _direction_forward(x, layer.kind, _sub_params(params, _prefix(index, "")),
+                             activation, mask)
+    return (fwd.h[1:] if layer.returns_sequence else fwd.h[-1]), LayerState(spec=layer, fwd=fwd)
 
 
 def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
@@ -660,52 +686,37 @@ def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
     for i in range(len(spec.recurrent_stack) - 1, -1, -1):
         d_next = _layer_backward(d_next, i, cache.layers[i], spec, params, grads)
 
+    # Batch-major rows, so repeated ids accumulate in the same order as the
+    # records' own token order.
     ids = cache.ids.reshape(-1)
-    np.add.at(grads["embedding"], ids, d_next.reshape(-1, spec.embedding_dim))
+    np.add.at(grads["embedding"], ids,
+              d_next.transpose(1, 0, 2).reshape(-1, spec.embedding_dim))
     return grads
 
 
 def _layer_backward(d_out: Tensor, index: int, state: LayerState,
                     spec: ModelSpec, params: Mapping[str, Tensor],
                     grads: ParamDict) -> Tensor:
+    """Gradient of the layer's time-major input, [L, B, in]."""
     layer = state.spec
-    B, L, _ = state.fwd.x.shape
     H = layer.hidden_units
-
-    def as_seq(d: Tensor) -> Tensor:
-        # Final-state gradients enter at the direction's own last step.
-        if layer.returns_sequence:
-            return d
-        seq = np.zeros((B, L, H))
-        seq[:, L - 1] = d
-        return seq
-
+    activation = _kind_activation(layer.kind, spec.hidden_activation, spec.cell_activation)
     if layer.bidirectional:
-        if layer.returns_sequence:
-            d_fwd, d_bwd = d_out[:, :, :H], np.ascontiguousarray(d_out[:, :, H:][:, ::-1])
-        else:
-            d_fwd, d_bwd = d_out[:, :H], d_out[:, H:]
-        d_x_fwd, g_fwd = _direction_backward(
-            as_seq(d_fwd), state.fwd, _sub_params(params, _prefix(index, "fwd")),
-            spec.hidden_activation, spec.cell_activation,
-        )
-        d_x_bwd_rev, g_bwd = _direction_backward(
-            as_seq(d_bwd), state.bwd, _sub_params(params, _prefix(index, "bwd")),
-            spec.hidden_activation, spec.cell_activation,
-        )
-        for name, value in g_fwd.items():
-            grads[_prefix(index, "fwd") + name] += value
-        for name, value in g_bwd.items():
-            grads[_prefix(index, "bwd") + name] += value
-        return d_x_fwd + d_x_bwd_rev[:, ::-1]
-
-    d_x, g = _direction_backward(
-        as_seq(d_out), state.fwd, _sub_params(params, _prefix(index, "")),
-        spec.hidden_activation, spec.cell_activation,
-    )
-    for name, value in g.items():
-        grads[_prefix(index, "") + name] += value
-    return d_x
+        d_bwd = d_out[..., H:][::-1] if layer.returns_sequence else d_out[..., H:]
+        directions = [("fwd", state.fwd, d_out[..., :H]), ("bwd", state.bwd, d_bwd)]
+    else:
+        directions = [("", state.fwd, d_out)]
+    d_inputs = []
+    for direction, dir_cache, d_dir in directions:
+        prefix = _prefix(index, direction)
+        d_in, g = _direction_backward(d_dir, dir_cache, _sub_params(params, prefix),
+                                      activation)
+        for name, value in g.items():
+            grads[prefix + name] += value
+        d_inputs.append(d_in)
+    if layer.bidirectional:
+        return d_inputs[0] + d_inputs[1][::-1]
+    return d_inputs[0]
 
 
 def predict_class(probs: Tensor) -> DamageLabel:

@@ -77,13 +77,18 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function.
+
+    With ``e = exp(-|x|)`` this is ``1/(1+e)`` for ``x >= 0`` and ``e/(1+e)``
+    otherwise, which never overflows and is bit-identical to evaluating each
+    branch on its own elements. ``minimum(x, -x)`` equals ``-|x|`` but keeps
+    the sign bit of a NaN input. ``exp`` underflows to zero or a subnormal
+    for large ``|x|``; that is the correctly rounded result, so underflow is
+    not reported.
+    """
+    with np.errstate(under="ignore"):
+        e = np.exp(np.minimum(x, -x))
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

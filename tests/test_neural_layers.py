@@ -7,6 +7,7 @@ import pytest
 from narrative_seq.corpus_ingest import DamageLabel
 from narrative_seq.errors import DimensionError
 from narrative_seq.neural_layers import (
+    GATE_NAMES,
     CellKind,
     ModelSpec,
     RecurrentLayerSpec,
@@ -75,6 +76,23 @@ def oracle_gru_step(x, h_prev, p):
         hbar = math.tanh(_affine_scalar(x, r_h, p["W_h"], p["U_h"], p["b_h"], j))
         h_out.append((1.0 - z) * h_prev[j] + z * hbar)
     return h_out
+
+
+def _oracle_unroll(kind, x_seq, p):
+    """Per-step hidden states of one [L, d] sequence from the zero state."""
+    plist = {k: v.tolist() for k, v in p.items()}
+    n_h = len(plist[f"b{GATE_NAMES[kind][0]}"])
+    h, c = [0.0] * n_h, [0.0] * n_h
+    states = []
+    for x_t in x_seq.tolist():
+        if kind is CellKind.SRNN:
+            h = oracle_srnn_step(x_t, h, plist, lambda v: max(0.0, v))
+        elif kind is CellKind.LSTM:
+            h, c = oracle_lstm_step(x_t, h, c, plist)
+        else:
+            h = oracle_gru_step(x_t, h, plist)
+        states.append(h)
+    return states
 
 
 def _rand_gate_params(rng, names, n_in, n_h):
@@ -198,24 +216,41 @@ class TestRecurrentForward:
         out = recurrent_forward(np.zeros((5, 3)), layer, p)
         npt.assert_array_equal(out, np.zeros((5, 4)))
 
-    def test_three_step_manual_unroll(self):
+    @pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.name)
+    def test_three_step_manual_unroll(self, kind):
+        # The scalar oracles index every gate by name, so a fused-column
+        # mix-up (say LSTM o and g swapped) that gradcheck cannot see,
+        # because forward and backward would share it, fails here.
         rng = SeededRng(9)
-        p = {
-            "W": rng.uniform((2, 3), -0.8, 0.8),
-            "U": rng.uniform((3, 3), -0.8, 0.8),
-            "b": rng.uniform((3,), -0.2, 0.2),
-        }
-        x = rng.uniform((3, 2), -1, 1)
-        plist = {k: v.tolist() for k, v in p.items()}
-        h = [0.0, 0.0, 0.0]
-        per_step = []
-        for t in range(3):
-            h = oracle_srnn_step(x[t].tolist(), h, plist, lambda v: max(0.0, v))
-            per_step.append(h)
-        seq_layer = RecurrentLayerSpec(CellKind.SRNN, 3, returns_sequence=True)
-        final_layer = RecurrentLayerSpec(CellKind.SRNN, 3)
-        npt.assert_allclose(recurrent_forward(x, seq_layer, p), per_step, atol=1e-14)
-        npt.assert_allclose(recurrent_forward(x, final_layer, p), per_step[-1], atol=1e-14)
+        p_fwd = _rand_gate_params(rng, GATE_NAMES[kind], 2, 3)
+        p_bwd = _rand_gate_params(rng, GATE_NAMES[kind], 2, 3)
+        x = rng.uniform((3, 3, 2), -1, 1)  # batch 3, three steps, width 2
+        fwd = np.array([_oracle_unroll(kind, row, p_fwd) for row in x])
+        bwd = np.array([_oracle_unroll(kind, row[::-1], p_bwd)[::-1] for row in x])
+
+        seq_layer = RecurrentLayerSpec(kind, 3, returns_sequence=True)
+        final_layer = RecurrentLayerSpec(kind, 3)
+        npt.assert_allclose(recurrent_forward(x, seq_layer, p_fwd), fwd, atol=1e-14)
+        npt.assert_allclose(recurrent_forward(x, final_layer, p_fwd), fwd[:, -1], atol=1e-14)
+
+        bi_seq = RecurrentLayerSpec(kind, 3, bidirectional=True, returns_sequence=True)
+        bi_final = RecurrentLayerSpec(kind, 3, bidirectional=True)
+        npt.assert_allclose(bidirectional_forward(x, bi_seq, p_fwd, p_bwd),
+                            np.concatenate([fwd, bwd], axis=2), atol=1e-14)
+        npt.assert_allclose(bidirectional_forward(x, bi_final, p_fwd, p_bwd),
+                            np.concatenate([fwd[:, -1], bwd[:, 0]], axis=1), atol=1e-14)
+
+    @pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.name)
+    def test_shape_mismatches_raise_dimension_error(self, kind):
+        p = _rand_gate_params(SeededRng(3), GATE_NAMES[kind], 2, 3)
+        with pytest.raises(DimensionError):
+            recurrent_forward(np.zeros((4, 5)), RecurrentLayerSpec(kind, 3), p)
+        bad_u = dict(p, **{f"U{GATE_NAMES[kind][-1]}": np.zeros((3, 4))})
+        with pytest.raises(DimensionError):
+            recurrent_forward(np.zeros((4, 2)), RecurrentLayerSpec(kind, 3), bad_u)
+        if kind is CellKind.LSTM:
+            with pytest.raises(DimensionError):
+                lstm_step(np.zeros(2), np.zeros(3), np.zeros(4), p)
 
     def test_rejects_bidirectional_layer(self):
         layer = RecurrentLayerSpec(CellKind.SRNN, 3, bidirectional=True)

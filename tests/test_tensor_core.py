@@ -4,6 +4,9 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from narrative_seq.errors import DimensionError
 from narrative_seq.tensor_core import (
@@ -89,12 +92,50 @@ def test_relu_idempotent():
     npt.assert_array_equal(relu(relu(x)), relu(x))
 
 
+def _two_branch_sigmoid(x):
+    """The boolean-mask formula the branch-free sigmoid replaced."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _assert_bits_equal(a, b):
+    npt.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_SIGMOID_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+    36.7, -36.7, 709.9, -709.9, 745.2, -745.2, 800.0, -800.0,
+    1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan,
+])
+
+
 def test_sigmoid_matches_reference_and_is_stable():
     x = np.array([-800.0, -1.0, 0.0, 1.0, 800.0])
     out = sigmoid(x)
     assert np.all(np.isfinite(out))
     npt.assert_allclose(out[1:4], 1.0 / (1.0 + np.exp(-x[1:4])), atol=1e-15)
     assert out[0] == 0.0 and out[4] == 1.0
+
+    with np.errstate(all="raise"):
+        edges = sigmoid(_SIGMOID_EDGES)
+    with np.errstate(under="ignore"):
+        _assert_bits_equal(edges, _two_branch_sigmoid(_SIGMOID_EDGES))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+    def matches_two_branch_bit_for_bit(values):
+        with np.errstate(all="raise"):
+            out = sigmoid(values)
+        with np.errstate(under="ignore"):
+            _assert_bits_equal(out, _two_branch_sigmoid(values))
+
+    matches_two_branch_bit_for_bit()
 
 
 def test_uniform_init_deterministic():
