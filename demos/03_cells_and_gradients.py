@@ -16,6 +16,7 @@ from narrative_seq import (
     model_backward,
     model_forward,
     predict_class,
+    predict_proba,
     recurrent_forward,
     srnn_step,
 )
@@ -92,9 +93,9 @@ for name in ("embedding", "layer0.W_z", "output.W"):
     i = int(np.argmax(np.abs(gflat)))  # most informative coordinate
     keep = flat[i]
     flat[i] = keep + eps
-    up = cross_entropy(model_forward(ids, spec, params)[0], label)
+    up = cross_entropy(predict_proba(ids, spec, params), label)
     flat[i] = keep - eps
-    down = cross_entropy(model_forward(ids, spec, params)[0], label)
+    down = cross_entropy(predict_proba(ids, spec, params), label)
     flat[i] = keep
     numeric = (up - down) / (2 * eps)
     print(f"  {name:<12} analytic {gflat[i]:+.9f}   numeric {numeric:+.9f}")

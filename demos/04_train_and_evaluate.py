@@ -25,7 +25,7 @@ from narrative_seq import (
 from narrative_seq.corpus_ingest import ClassDistribution, DamageLabel
 from narrative_seq.dataset_io import ENCODED_FILENAME, VOCAB_FILENAME, vocab_fingerprint
 from narrative_seq.evaluation import format_evaluation_summary
-from narrative_seq.neural_layers import model_forward, predict_classes
+from narrative_seq.neural_layers import predict_classes, predict_proba
 from narrative_seq.synthetic import generate_fixture_corpus
 from narrative_seq.text_pipeline import preprocess_corpus
 from narrative_seq.training import split_dataset
@@ -50,7 +50,7 @@ for epoch, stats in enumerate(history, start=1):
 
 # Evaluate on the held-out test indices (same seed -> same split).
 _, _, test_idx = split_dataset(len(dataset), split)
-probs, _ = model_forward(dataset.sequences[test_idx], spec, params)
+probs = predict_proba(dataset.sequences[test_idx], spec, params)
 preds = predict_classes(probs)
 true = dataset.labels[test_idx].astype(int)
 
@@ -71,6 +71,6 @@ fingerprint = vocab_fingerprint(out / VOCAB_FILENAME)
 ckpt = out / "gru.nsck"
 save_checkpoint(params, spec, fingerprint, ckpt)
 loaded_spec, loaded_params = load_checkpoint(ckpt, fingerprint)
-reread, _ = model_forward(dataset.sequences[test_idx], loaded_spec, loaded_params)
+reread = predict_proba(dataset.sequences[test_idx], loaded_spec, loaded_params)
 print(f"checkpoint round trip bit-identical: {(reread == probs).all()}")
 print(f"artifacts in {out}")

@@ -59,6 +59,7 @@ from .neural_layers import (
     param_shapes,
     predict_class,
     predict_classes,
+    predict_proba,
     recurrent_forward,
     srnn_step,
 )

@@ -82,7 +82,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--parallelism", type=int)
     return parser
 
 
@@ -274,8 +273,6 @@ def _cmd_compare(args, cfg: dict) -> int:
         merged["batch_size"] = args.batch
     if args.lr is not None:
         merged["learning_rate"] = args.lr
-    if args.parallelism is not None:
-        merged["parallelism"] = args.parallelism
     if args.seed is not None:
         merged["seed"] = args.seed
     if not merged.get("data_path"):

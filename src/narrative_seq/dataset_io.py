@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .text_pipeline import Vocabulary
+from .text_pipeline import NUM_CLASSES, Vocabulary
 
 MAGIC = b"NSEQ1"
 _HEADER = struct.Struct("<III")
@@ -69,6 +69,9 @@ def write_encoded_dataset(path: str | Path, dataset: EncodedDataset) -> None:
 
 
 def read_encoded_dataset(path: str | Path) -> EncodedDataset:
+    """Load an ``.nseq`` file. A short or mis-sized file, a token id outside
+    the header's vocabulary, or a label that is not a damage level raises
+    ``DataError``."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -77,6 +80,10 @@ def read_encoded_dataset(path: str | Path) -> EncodedDataset:
     if raw[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: bad magic, not an NSEQ1 file")
     offset = len(MAGIC)
+    if len(raw) < offset + _HEADER.size:
+        raise DataError(
+            f"{path}: {len(raw)} bytes is shorter than the {offset + _HEADER.size}-byte header"
+        )
     seq_len, vocab_size, n = _HEADER.unpack_from(raw, offset)
     offset += _HEADER.size
     record_bytes = 1 + 4 * seq_len
@@ -89,6 +96,15 @@ def read_encoded_dataset(path: str | Path) -> EncodedDataset:
     records = records.reshape(n, record_bytes)
     labels = records[:, 0].copy()
     sequences = records[:, 1:].copy().view("<u4").astype(np.uint32)
+    if sequences.size and int(sequences.max()) >= vocab_size:
+        raise DataError(
+            f"{path}: token id {int(sequences.max())} is outside the vocabulary of "
+            f"{vocab_size}"
+        )
+    if labels.size and int(labels.max()) >= NUM_CLASSES:
+        raise DataError(
+            f"{path}: label {int(labels.max())} is not a damage level (0-{NUM_CLASSES - 1})"
+        )
     return EncodedDataset(sequences=sequences, labels=labels, vocab_size=vocab_size)
 
 

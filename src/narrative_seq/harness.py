@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,8 +28,14 @@ from .evaluation import (
     metrics_to_dict,
     render_results_table,
 )
-from .neural_layers import model_forward, predict_classes
-from .training import SplitSpec, TrainConfig, history_to_csv, split_dataset, train_model
+from .training import (
+    SplitSpec,
+    TrainConfig,
+    history_to_csv,
+    score_records,
+    split_dataset,
+    train_model,
+)
 
 CHECKPOINT_FILENAME = "checkpoint.nsck"
 HISTORY_FILENAME = "history.csv"
@@ -56,7 +61,6 @@ class ExperimentConfig:
     dense_hidden_units: int = zoo.DEFAULT_DENSE_HIDDEN_UNITS
     train: TrainConfig = field(default_factory=TrainConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
-    parallelism: int = 1
 
     def __post_init__(self):
         if not self.model_names:
@@ -66,8 +70,6 @@ class ExperimentConfig:
             raise DataError(
                 f"unknown model names {unknown}; zoo models are {list(zoo.ZOO_NAMES)}"
             )
-        if self.parallelism < 1:
-            raise DataError("parallelism must be at least 1")
 
 
 _TRAIN_KEYS = (
@@ -78,7 +80,6 @@ _SPLIT_KEYS = ("test_fraction", "validation_fraction_of_train")
 _TOP_KEYS = (
     "data_path", "output_dir", "model_names", "seq_len", "vocab_size", "pad",
     "stoplist", "embedding_dim", "hidden_units", "dense_hidden_units",
-    "parallelism",
 )
 
 
@@ -120,11 +121,7 @@ def _evaluate_on(spec, params, dataset, indices, batch_size: int):
     """Confusion matrix and both-mode reports over the given indices."""
     idx = np.asarray(indices)
     labels = dataset.labels[idx].astype(np.int64)
-    preds = np.empty(idx.size, dtype=np.int64)
-    for start in range(0, idx.size, batch_size):
-        chunk = idx[start:start + batch_size]
-        probs, _ = model_forward(dataset.sequences[chunk], spec, params)
-        preds[start:start + chunk.size] = predict_classes(probs)
+    preds, _ = score_records(spec, params, dataset, idx, batch_size)
     cm = confusion_matrix(preds, labels)
     weighted = compute_metrics(cm, "weighted")
     macro = compute_metrics(cm, "macro")
@@ -179,11 +176,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             ],
         }
 
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            outcomes = list(pool.map(run_one, config.model_names))
-    else:
-        outcomes = [run_one(name) for name in config.model_names]
+    outcomes = [run_one(name) for name in config.model_names]
 
     succeeded = [o for o in outcomes if o["status"] == "ok"]
     written: list[str] = [f for o in succeeded for f in o["files"]]

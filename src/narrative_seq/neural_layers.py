@@ -25,6 +25,17 @@ It projects the inputs with one GEMM per ``CHUNK_STEPS`` time steps, takes
 one recurrent GEMM (two for the GRU, whose candidate needs the reset gate)
 and one sigmoid call per step, and keeps its caches time-major
 (``[L, B, ...]``) so every per-step read and write is one contiguous block.
+
+The kernel runs in one of two modes, picked by whether the caller needs a
+cache. ``model_forward`` (training, followed by ``model_backward``) keeps
+the full BPTT cache: every step's states, gates and LSTM cell states.
+``predict_proba`` (evaluation and scoring), ``recurrent_forward``,
+``bidirectional_forward`` and the ``*_step`` functions run forward only:
+gates, ``act(c)`` and the cell state live in one scratch row each, and a
+layer keeps its state sequence only when the next layer reads it. Both
+modes run the same per-step arithmetic, so their outputs are bit-identical,
+and a forward-only run returns outputs, never a cache ``model_backward``
+could take.
 """
 
 from __future__ import annotations
@@ -306,14 +317,42 @@ class DirectionCache:
     mask: Tensor | None = None     # [L, B, 1], 1.0 at real tokens
 
 
+def _step_rows(n_rows: int, row_shape: tuple[int, ...], keep: bool) -> Tensor:
+    """``[n_rows, *row_shape]`` storage for a per-step quantity.
+
+    Without ``keep`` every row is a view of one scratch row (stride 0 along
+    the first axis), so the step loop indexes it by time exactly as it
+    indexes a kept sequence while holding only one row. The loop computes
+    each new row in full before it writes it, so overwriting the row it
+    just read is safe.
+    """
+    if keep:
+        return np.empty((n_rows, *row_shape))
+    row = np.empty(row_shape)
+    return np.lib.stride_tricks.as_strided(row, (n_rows, *row_shape), (0, *row.strides))
+
+
 def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
                        activation: str, mask: Tensor | None,
-                       h0: Tensor | None = None, c0: Tensor | None = None
-                       ) -> DirectionCache:
+                       h0: Tensor | None = None, c0: Tensor | None = None, *,
+                       keep: str) -> DirectionCache | tuple[Tensor, Tensor | None]:
     """Run one cell over ``x`` [L, B, in] from ``h0``/``c0`` (zeros by default).
 
     ``activation`` is the cell's own: the simple cell's, or the LSTM/GRU
     candidate and state activation.
+
+    ``keep`` names what the caller needs, and so what is stored:
+
+    * ``"cache"``: every step's states and gates; returns the
+      ``DirectionCache`` that ``_direction_backward`` consumes.
+    * ``"sequence"``: the states only; returns ``(h, c)`` with ``h`` the
+      per-step states [L, B, H] and ``c`` the LSTM's final cell state [B, H]
+      (None for the other kinds).
+    * ``"final"``: as ``"sequence"``, but ``h`` is the final state [B, H].
+
+    Without the cache, gates, ``act(c)`` and the cell state live in one
+    scratch row each (see ``_step_rows``). The arithmetic is the same in
+    every mode, so the states are bit-identical.
     """
     L, B, n_in = x.shape
     H = p[f"b{FUSED_GATES[kind][0]}"].shape[0] if h0 is None else h0.shape[-1]
@@ -321,16 +360,16 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
     act, _ = _ACTIVATIONS[activation]
     n_sig = _SIGMOID_GATES[kind] * H
     cols = _gate_columns(kind, H)
-    h = np.empty((L + 1, B, H))
+    cached = keep == "cache"
+    h = _step_rows(L + 1, (B, H), keep != "final")
     h[0] = 0.0 if h0 is None else h0
-    cache = DirectionCache(kind=kind, x=x, h=h, mask=mask)
+    c = ac = gates = None
     if kind is CellKind.LSTM:
-        cache.c = np.empty((L + 1, B, H))
-        cache.c[0] = 0.0 if c0 is None else c0
-        cache.ac = np.empty((L, B, H))
+        c = _step_rows(L + 1, (B, H), cached)
+        c[0] = 0.0 if c0 is None else c0
+        ac = _step_rows(L, (B, H), cached)
     if kind is not CellKind.SRNN:
-        cache.gates = np.empty((L, B, W.shape[1]))
-    c, ac, gates = cache.c, cache.ac, cache.gates
+        gates = _step_rows(L, (B, W.shape[1]), cached)
 
     for t0 in range(0, L, CHUNK_STEPS):
         # The bias is added after x W + h U, in the same order as a per-gate
@@ -364,7 +403,9 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
                 h[t + 1] = m * new_h + (1.0 - m) * h_prev
                 if c is not None:
                     c[t + 1] = m * new_c + (1.0 - m) * c[t]
-    return cache
+    if cached:
+        return DirectionCache(kind=kind, x=x, h=h, gates=gates, c=c, ac=ac, mask=mask)
+    return (h[1:] if keep == "sequence" else h[-1]), (None if c is None else c[-1])
 
 
 def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Tensor],
@@ -470,7 +511,8 @@ def srnn_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
     """One simple-cell step: act(W x + U h_prev + b); ReLU by default."""
     x, squeeze = _as_batch(x_t)
     h_prev, _ = _as_batch(h_prev)
-    h = _direction_forward(x[None], CellKind.SRNN, params, activation, None, h_prev).h[1]
+    h, _ = _direction_forward(x[None], CellKind.SRNN, params, activation, None, h_prev,
+                              keep="final")
     return h[0] if squeeze else h
 
 
@@ -483,9 +525,8 @@ def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
     c_prev, _ = _as_batch(c_prev)
     if c_prev.shape != h_prev.shape:
         raise DimensionError(f"cell state {c_prev.shape} does not match h_prev {h_prev.shape}")
-    cache = _direction_forward(x[None], CellKind.LSTM, params, cell_activation, None,
-                               h_prev, c_prev)
-    h, c = cache.h[1], cache.c[1]
+    h, c = _direction_forward(x[None], CellKind.LSTM, params, cell_activation, None,
+                              h_prev, c_prev, keep="final")
     return (h[0], c[0]) if squeeze else (h, c)
 
 
@@ -494,7 +535,8 @@ def gru_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
     """One GRU step with the reset gate applied to h_prev inside U_h."""
     x, squeeze = _as_batch(x_t)
     h_prev, _ = _as_batch(h_prev)
-    h = _direction_forward(x[None], CellKind.GRU, params, cell_activation, None, h_prev).h[1]
+    h, _ = _direction_forward(x[None], CellKind.GRU, params, cell_activation, None, h_prev,
+                              keep="final")
     return h[0] if squeeze else h
 
 
@@ -502,12 +544,19 @@ def gru_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
 # Layer-level forward/backward (public sequence ops)
 # ---------------------------------------------------------------------------
 
-def _bidirectional_outputs(fwd: DirectionCache, bwd: DirectionCache,
-                           returns_sequence: bool) -> Tensor:
-    """Time-major [L, B, 2H] per-step outputs, or [B, 2H] final states."""
+def _bidirectional_outputs(fwd: Tensor, bwd: Tensor, returns_sequence: bool) -> Tensor:
+    """Time-major [L, B, 2H] per-step outputs, or [B, 2H] final states.
+
+    ``fwd`` and ``bwd`` are each direction's states in its own processing
+    order: [L, B, H] per step, or [B, H] final.
+    """
     if returns_sequence:
-        return np.concatenate([fwd.h[1:], bwd.h[:0:-1]], axis=2)
-    return np.concatenate([fwd.h[-1], bwd.h[-1]], axis=1)
+        return np.concatenate([fwd, bwd[::-1]], axis=2)
+    return np.concatenate([fwd, bwd], axis=1)
+
+
+def _output_mode(layer: RecurrentLayerSpec) -> str:
+    return "sequence" if layer.returns_sequence else "final"
 
 
 def recurrent_forward(inputs: Tensor, layer: RecurrentLayerSpec,
@@ -523,8 +572,10 @@ def recurrent_forward(inputs: Tensor, layer: RecurrentLayerSpec,
         raise DimensionError("use bidirectional_forward for bidirectional layers")
     x, squeeze = _as_seq_batch(inputs)
     activation = _kind_activation(layer.kind, hidden_activation, cell_activation)
-    h = _direction_forward(x, layer.kind, params, activation, mask=None).h
-    result = h[1:].transpose(1, 0, 2) if layer.returns_sequence else h[-1]
+    result, _ = _direction_forward(x, layer.kind, params, activation, mask=None,
+                                   keep=_output_mode(layer))
+    if layer.returns_sequence:
+        result = result.transpose(1, 0, 2)
     return result[0] if squeeze else result
 
 
@@ -542,8 +593,10 @@ def bidirectional_forward(inputs: Tensor, layer: RecurrentLayerSpec,
         raise DimensionError("layer.bidirectional must be true")
     x, squeeze = _as_seq_batch(inputs)
     activation = _kind_activation(layer.kind, hidden_activation, cell_activation)
-    fwd = _direction_forward(x, layer.kind, params_fwd, activation, mask=None)
-    bwd = _direction_forward(x[::-1], layer.kind, params_bwd, activation, mask=None)
+    keep = _output_mode(layer)
+    fwd, _ = _direction_forward(x, layer.kind, params_fwd, activation, mask=None, keep=keep)
+    bwd, _ = _direction_forward(x[::-1], layer.kind, params_bwd, activation, mask=None,
+                                keep=keep)
     result = _bidirectional_outputs(fwd, bwd, layer.returns_sequence)
     if layer.returns_sequence:
         result = result.transpose(1, 0, 2)
@@ -596,53 +649,78 @@ def embedding_forward(seq: Tensor, embedding: Tensor) -> Tensor:
 
 def model_forward(seq: Tensor, spec: ModelSpec, params: Mapping[str, Tensor]
                   ) -> tuple[Tensor, ForwardCache]:
-    """Probabilities over the four classes (plus the backward cache).
+    """Probabilities over the four classes plus the backward cache.
 
     ``seq`` is an id vector [L] or batch [B, L]; output is [4] or [B, 4].
+    Callers that do not run ``model_backward`` use ``predict_proba``, which
+    returns the same bits without building the cache.
     """
+    return _forward(seq, spec, params, keep_cache=True)
+
+
+def predict_proba(seq: Tensor, spec: ModelSpec, params: Mapping[str, Tensor]) -> Tensor:
+    """Probabilities over the four classes, forward only.
+
+    Bit-identical to ``model_forward(seq, spec, params)[0]``, but keeps only
+    each layer's running state plus its input and output sequences, so
+    memory does not grow with the cache BPTT needs.
+    """
+    probs, _ = _forward(seq, spec, params, keep_cache=False)
+    return probs
+
+
+def _forward(seq: Tensor, spec: ModelSpec, params: Mapping[str, Tensor],
+             keep_cache: bool) -> tuple[Tensor, ForwardCache | None]:
+    """Embedding, recurrent stack and dense head, shared by both forwards."""
     ids = np.asarray(seq)
     squeezed = ids.ndim == 1
     if squeezed:
         ids = ids[None, :]
-    cache = ForwardCache(ids=ids, squeezed=squeezed)
-    if spec.mask_padding:
-        cache.mask = (ids.T != 0).astype(np.float64)[:, :, None]
+    mask = (ids.T != 0).astype(np.float64)[:, :, None] if spec.mask_padding else None
+    cache = ForwardCache(ids=ids, mask=mask, squeezed=squeezed) if keep_cache else None
 
     x = embedding_forward(ids.T, params["embedding"])
     for i, layer in enumerate(spec.recurrent_stack):
-        x, state = _layer_forward(x, i, layer, spec, params, cache.mask)
-        cache.layers.append(state)
-    cache.features = x
+        x = _layer_forward(x, i, layer, spec, params, mask, cache)
 
+    hidden = None
     if spec.use_dense_hidden:
         act, _ = _ACTIVATIONS[spec.hidden_activation]
-        cache.hidden = act(
-            matmul(x, params["dense_hidden.W"]) + params["dense_hidden.b"]
-        )
-        logits = matmul(cache.hidden, params["output.W"]) + params["output.b"]
+        hidden = act(matmul(x, params["dense_hidden.W"]) + params["dense_hidden.b"])
+        logits = matmul(hidden, params["output.W"]) + params["output.b"]
     else:
         logits = matmul(x, params["output.W"]) + params["output.b"]
-    cache.probs = softmax(logits, axis=-1)
-    probs = cache.probs[0] if squeezed else cache.probs
-    return probs, cache
+    probs = softmax(logits, axis=-1)
+    if cache is not None:
+        cache.features, cache.hidden, cache.probs = x, hidden, probs
+    return (probs[0] if squeezed else probs), cache
 
 
 def _layer_forward(x: Tensor, index: int, layer: RecurrentLayerSpec,
                    spec: ModelSpec, params: Mapping[str, Tensor],
-                   mask: Tensor | None) -> tuple[Tensor, LayerState]:
-    """Time-major layer outputs: [L, B, width] or final states [B, width]."""
+                   mask: Tensor | None, cache: ForwardCache | None) -> Tensor:
+    """Time-major layer outputs: [L, B, width] or final states [B, width].
+
+    With a ``cache`` the layer's direction caches are appended to it;
+    without one the directions run forward only.
+    """
     activation = _kind_activation(layer.kind, spec.hidden_activation, spec.cell_activation)
+    directions = [(_prefix(index, ""), x, mask)]
     if layer.bidirectional:
-        fwd = _direction_forward(x, layer.kind, _sub_params(params, _prefix(index, "fwd")),
-                                 activation, mask)
-        bwd = _direction_forward(x[::-1], layer.kind,
-                                 _sub_params(params, _prefix(index, "bwd")), activation,
-                                 mask[::-1] if mask is not None else None)
-        out = _bidirectional_outputs(fwd, bwd, layer.returns_sequence)
-        return out, LayerState(spec=layer, fwd=fwd, bwd=bwd)
-    fwd = _direction_forward(x, layer.kind, _sub_params(params, _prefix(index, "")),
-                             activation, mask)
-    return (fwd.h[1:] if layer.returns_sequence else fwd.h[-1]), LayerState(spec=layer, fwd=fwd)
+        directions = [(_prefix(index, "fwd"), x, mask),
+                      (_prefix(index, "bwd"), x[::-1], None if mask is None else mask[::-1])]
+    keep = _output_mode(layer) if cache is None else "cache"
+    runs = [_direction_forward(x_dir, layer.kind, _sub_params(params, prefix), activation,
+                               m_dir, keep=keep)
+            for prefix, x_dir, m_dir in directions]
+    if cache is None:
+        outs = [h for h, _ in runs]
+    else:
+        cache.layers.append(LayerState(layer, *runs))
+        outs = [run.h[1:] if layer.returns_sequence else run.h[-1] for run in runs]
+    if layer.bidirectional:
+        return _bidirectional_outputs(*outs, layer.returns_sequence)
+    return outs[0]
 
 
 def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,

@@ -27,6 +27,7 @@ from .neural_layers import (
     model_backward,
     model_forward,
     predict_classes,
+    predict_proba,
 )
 from .tensor_core import SeededRng
 from .text_pipeline import labels_to_one_hot
@@ -179,6 +180,25 @@ def adam_update(params: ParamDict, grads: ParamDict, state: AdamState,
     return params, state
 
 
+def score_records(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
+                  indices: Sequence[int] | np.ndarray,
+                  batch_size: int) -> tuple[np.ndarray, float]:
+    """(predicted classes [n], summed floored cross-entropy) of frozen params
+    over the given record indices, scored ``batch_size`` records at a time
+    through the forward-only ``predict_proba``."""
+    idx = np.asarray(indices)
+    preds = np.empty(idx.size, dtype=np.int64)
+    total_loss = 0.0
+    for start in range(0, idx.size, batch_size):
+        chunk = idx[start:start + batch_size]
+        labels = dataset.labels[chunk].astype(np.int64)
+        probs = predict_proba(dataset.sequences[chunk], spec, params)
+        p_true = probs[np.arange(chunk.size), labels]
+        total_loss += float(np.sum(-np.log(np.maximum(p_true, LOSS_FLOOR))))
+        preds[start:start + chunk.size] = predict_classes(probs)
+    return preds, total_loss
+
+
 def evaluate_model(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
                    indices: Sequence[int] | np.ndarray,
                    batch_size: int = 64) -> tuple[float, float]:
@@ -186,15 +206,8 @@ def evaluate_model(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
     idx = np.asarray(indices)
     if idx.size == 0:
         return 0.0, 0.0
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, idx.size, batch_size):
-        chunk = idx[start:start + batch_size]
-        labels = dataset.labels[chunk].astype(np.int64)
-        probs, _ = model_forward(dataset.sequences[chunk], spec, params)
-        p_true = probs[np.arange(chunk.size), labels]
-        total_loss += float(np.sum(-np.log(np.maximum(p_true, LOSS_FLOOR))))
-        correct += int(np.sum(predict_classes(probs) == labels))
+    preds, total_loss = score_records(spec, params, dataset, idx, batch_size)
+    correct = int(np.sum(preds == dataset.labels[idx]))
     return total_loss / idx.size, correct / idx.size
 
 
@@ -245,6 +258,10 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
             grads = model_backward(cache, labels_to_one_hot(labels), spec, params)
             clip_gradients(grads, config.clip_norm)
             adam_update(params, grads, state, config)
+            # Release this batch's cache and gradients before the next
+            # forward builds its own; holding both doubles peak memory at
+            # long seq_len.
+            del cache, grads
 
         if record_history:
             train_loss, train_acc = evaluate_model(spec, params, dataset, epoch_train)

@@ -3,13 +3,19 @@ speed with one subprocess smoke test for the installed entry point.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from narrative_seq import dataset_io
+from narrative_seq.checkpoint import save_checkpoint
 from narrative_seq.cli import main
+from narrative_seq.neural_layers import init_params
+from narrative_seq.tensor_core import SeededRng
+from narrative_seq.zoo import build_spec
 from narrative_seq.synthetic import generate_fixture_corpus, records_to_json
 
 
@@ -138,6 +144,32 @@ class TestPipelineFlow:
         )
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["token", "label"])
+    def test_evaluate_rejects_out_of_range_dataset(self, tmp_path, encoded_dir, field):
+        # A record whose token id lies outside the vocabulary (or whose label
+        # is not a damage level) fails at the reader with exit 2, not deep in
+        # the forward pass with a traceback.
+        data = tmp_path / "bad_enc"
+        data.mkdir()
+        shutil.copy(encoded_dir / dataset_io.VOCAB_FILENAME, data)
+        dataset = dataset_io.read_encoded_dataset(encoded_dir / dataset_io.ENCODED_FILENAME)
+        if field == "token":
+            dataset.sequences[-1, 0] = dataset.vocab_size
+        else:
+            dataset.labels[-1] = 4
+        dataset_io.write_encoded_dataset(data / dataset_io.ENCODED_FILENAME, dataset)
+        spec = build_spec("sRNN", embedding_dim=4, hidden_units=4, dense_hidden_units=4)
+        model = tmp_path / "model.nsck"
+        save_checkpoint(init_params(spec, dataset.vocab_size, SeededRng(0)), spec,
+                        dataset_io.vocab_fingerprint(data / dataset_io.VOCAB_FILENAME), model)
+        proc = subprocess.run(
+            [sys.executable, "-m", "narrative_seq", "evaluate", "--model-file", str(model),
+             "--data", str(data), "--split", "all"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_compare_single_model(self, tmp_path, encoded_dir, capsys):
         out = tmp_path / "cmp"

@@ -54,6 +54,28 @@ class TestEncodedDataset:
         with pytest.raises(DataError, match="bytes"):
             read_encoded_dataset(path)
 
+    @pytest.mark.parametrize("size", [5, 16])
+    def test_shorter_than_header(self, tmp_path, dataset, size):
+        path = tmp_path / "short.nseq"
+        write_encoded_dataset(path, dataset)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(DataError, match="header"):
+            read_encoded_dataset(path)
+
+    def test_token_id_outside_vocabulary(self, tmp_path, dataset):
+        dataset.sequences[3, 4] = dataset.vocab_size
+        path = tmp_path / "bad_id.nseq"
+        write_encoded_dataset(path, dataset)
+        with pytest.raises(DataError, match="token id 40"):
+            read_encoded_dataset(path)
+
+    def test_label_outside_damage_levels(self, tmp_path, dataset):
+        dataset.labels[5] = 4
+        path = tmp_path / "bad_label.nseq"
+        write_encoded_dataset(path, dataset)
+        with pytest.raises(DataError, match="label 4"):
+            read_encoded_dataset(path)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
             EncodedDataset(

@@ -46,6 +46,9 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(DataError, match="optimiser"):
             config_from_dict({"optimiser": "sgd"})
+        # parallelism is not a config key.
+        with pytest.raises(DataError, match="parallelism"):
+            config_from_dict({"parallelism": 2})
 
     def test_unknown_model_rejected(self):
         with pytest.raises(DataError, match="CNN"):
@@ -135,14 +138,6 @@ class TestRunExperiment:
         assert manifest["models"]["sRNN"]["status"] == "ok"
         table = (out / "results_table.txt").read_text()
         assert "sRNN" in table and "GRU" not in table
-
-    def test_parallel_run_matches_serial(self, encoded_fixture_dir, tmp_path):
-        serial_out = tmp_path / "serial"
-        parallel_out = tmp_path / "parallel"
-        run_experiment(_config(encoded_fixture_dir, serial_out))
-        run_experiment(_config(encoded_fixture_dir, parallel_out, parallelism=2))
-        for rel in ("sRNN/metrics.json", "GRU/metrics.json", "results.csv"):
-            assert (serial_out / rel).read_bytes() == (parallel_out / rel).read_bytes()
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         config = _config(tmp_path / "nowhere", tmp_path / "out", models=("LSTM",))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -20,12 +22,13 @@ from narrative_seq.neural_layers import (
     model_forward,
     param_shapes,
     predict_class,
+    predict_proba,
     recurrent_forward,
     srnn_step,
 )
 from narrative_seq.tensor_core import SeededRng
 from narrative_seq.text_pipeline import one_hot
-from narrative_seq.zoo import build_spec
+from narrative_seq.zoo import ZOO_NAMES, build_spec
 
 # ---------------------------------------------------------------------------
 # Independent scalar-loop oracles: plain-Python per-element arithmetic,
@@ -325,6 +328,42 @@ class TestEmbedding:
         touched = sorted(np.nonzero(np.abs(grads["embedding"]).sum(axis=1))[0])
         assert set(touched) <= {2, 5}
         assert grads["embedding"].shape == params["embedding"].shape
+
+
+class TestPredictProba:
+    @pytest.mark.parametrize("mask_padding", [False, True])
+    @pytest.mark.parametrize("name", ZOO_NAMES)
+    def test_bit_identical_to_model_forward(self, name, mask_padding):
+        spec = dataclasses.replace(
+            build_spec(name, embedding_dim=3, hidden_units=4, dense_hidden_units=5),
+            mask_padding=mask_padding,
+        )
+        params = init_params(spec, 20, SeededRng(41, 2))
+        # Longer than one input-projection chunk, with trailing padding.
+        ids = np.random.default_rng(5).integers(1, 20, size=(3, 70))
+        ids[1, 50:] = 0
+        for seq in (ids, ids[1]):
+            probs = predict_proba(seq, spec, params)
+            expected, _ = model_forward(seq, spec, params)
+            assert probs.shape == expected.shape
+            assert np.array_equal(probs, expected)
+
+    @pytest.mark.parametrize("name", ["GRU-LSTM-sRNN", "GRU-BLSTM-sRNN"])
+    def test_traced_peak_is_a_few_sequences(self, name):
+        # Forward only, a layer holds its input and output sequences, not
+        # the BPTT cache: model_forward peaks above 10 such sequences here.
+        B, L, w = 8, 512, 8
+        spec = build_spec(name, embedding_dim=w, hidden_units=w, dense_hidden_units=w)
+        params = init_params(spec, 50, SeededRng(1, 2))
+        ids = np.random.default_rng(0).integers(1, 50, size=(B, L))
+        width = max(layer.output_width for layer in spec.recurrent_stack)
+        tracemalloc.start()
+        try:
+            predict_proba(ids, spec, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * B * L * width * 8
 
 
 class TestModelForward:

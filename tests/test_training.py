@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from narrative_seq.corpus_ingest import DamageLabel
+from narrative_seq.dataset_io import EncodedDataset
 from narrative_seq.errors import DataError, DimensionError, NumericError
 from narrative_seq.synthetic import separable_dataset
 from narrative_seq.text_pipeline import one_hot
@@ -225,8 +227,6 @@ class TestTrainModel:
             train_model(spec, tiny_dataset, config, SplitSpec(seed=7))
 
     def test_empty_dataset_rejected(self, tiny_dataset):
-        from narrative_seq.dataset_io import EncodedDataset
-
         empty = EncodedDataset(
             sequences=np.zeros((0, 4), dtype=np.uint32),
             labels=np.zeros(0, dtype=np.uint8),
@@ -235,6 +235,31 @@ class TestTrainModel:
         with pytest.raises(DataError):
             train_model(build_spec("GRU", **self.SPEC), empty,
                         TrainConfig(epochs=1), SplitSpec())
+
+    def test_peak_memory_holds_one_batch_cache(self):
+        # One batch's BPTT cache dominates memory at long seq_len. An epoch
+        # of three full batches must not hold two caches at once, so it
+        # peaks about where a one-batch epoch does.
+        def traced_peak(n_records):
+            rng = np.random.default_rng(n_records)
+            dataset = EncodedDataset(
+                sequences=rng.integers(1, 30, size=(n_records, 300)).astype(np.uint32),
+                labels=rng.integers(0, 4, size=n_records).astype(np.uint8),
+                vocab_size=30,
+            )
+            spec = build_spec("LSTM", **self.SPEC)
+            tracemalloc.start()
+            try:
+                train_model(spec, dataset, TrainConfig(epochs=1, batch_size=8), SplitSpec(),
+                            record_history=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 10 records train on 8 (one batch), 32 records on 24 (three).
+        assert split_dataset(10, SplitSpec())[0].size == 8
+        assert split_dataset(32, SplitSpec())[0].size == 24
+        assert traced_peak(32) < 1.3 * traced_peak(10)
 
 
 def test_history_csv_format():
