@@ -21,12 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .neural_layers import ModelSpec, ParamDict
+from .neural_layers import ModelSpec, ParamDict, param_shapes
 
 MAGIC = b"NSCKPT1\n"
 FORMAT_VERSION = 1
 
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
+_HEADER_KEYS = ("model_spec", "vocab_fingerprint", "blob_dtype", "blob_bytes", "tensors")
 
 
 def save_checkpoint(params: ParamDict, spec: ModelSpec, vocab_fingerprint: str,
@@ -73,17 +74,37 @@ def load_checkpoint(path: str | Path, expected_vocab_fingerprint: str | None
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
     header_start = len(MAGIC) + 8
+    if len(raw) < header_start:
+        raise CheckpointError(
+            f"{path}: truncated: {len(raw)} bytes, shorter than magic and header length"
+        )
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
     try:
         header = json.loads(raw[header_start:header_start + header_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-    if header["format_version"] != FORMAT_VERSION:
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: unsupported format_version {header['format_version']} "
+            f"{path}: unsupported format_version {header.get('format_version')} "
             f"(this build reads version {FORMAT_VERSION})"
         )
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: corrupt header: missing keys {missing}")
+    # Malformed values (wrong JSON types, bad spec fields, offsets outside
+    # the blob) surface as LookupError/TypeError/ValueError.
+    try:
+        return _read_body(path, header, raw[header_start + header_len:],
+                          expected_vocab_fingerprint)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: corrupt header: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_body(path: Path, header: dict, blob: bytes,
+               expected_vocab_fingerprint: str | None) -> tuple[ModelSpec, ParamDict]:
     if (
         expected_vocab_fingerprint is not None
         and header["vocab_fingerprint"] != expected_vocab_fingerprint
@@ -93,20 +114,27 @@ def load_checkpoint(path: str | Path, expected_vocab_fingerprint: str | None
             f"against {header['vocab_fingerprint'][:12]}..., dataset has "
             f"{expected_vocab_fingerprint[:12]}..."
         )
-    blob = raw[header_start + header_len:]
     if len(blob) != header["blob_bytes"]:
         raise CheckpointError(
             f"{path}: truncated blob: expected {header['blob_bytes']} bytes, "
             f"found {len(blob)}"
         )
+    if header["blob_dtype"] not in _DTYPES:
+        raise CheckpointError(f"{path}: unknown blob_dtype {header['blob_dtype']!r}")
     np_dtype = np.dtype(_DTYPES[header["blob_dtype"]])
+    spec = ModelSpec.from_dict(header["model_spec"])
+    shapes = {e["name"]: tuple(e["shape"]) for e in header["tensors"]}
+    expected = param_shapes(spec, shapes.get("embedding", (0,))[0])
+    if len(header["tensors"]) != len(expected) or shapes != expected:
+        wrong = sorted(n for n in shapes.keys() | expected.keys()
+                       if shapes.get(n) != expected.get(n))
+        raise CheckpointError(
+            f"{path}: tensor manifest does not match the {spec.name} spec at: {wrong}"
+        )
     params: ParamDict = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        tensor = np.frombuffer(
-            blob, dtype=np_dtype, count=count, offset=entry["offset"]
-        )
+        shape = shapes[entry["name"]]
+        tensor = np.frombuffer(blob, dtype=np_dtype, count=int(np.prod(shape)),
+                               offset=entry["offset"])
         params[entry["name"]] = tensor.reshape(shape).astype(np.float64)
-    spec = ModelSpec.from_dict(header["model_spec"])
     return spec, params

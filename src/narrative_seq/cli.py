@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. In
 compare mode a numeric failure in one model is recorded per model; the run
 exits 0 as long as at least one model succeeds.
 
-Values come from CLI flags first, then the ``--config`` JSON file, then
-built-in defaults.
+Every subcommand resolves its settings the same way: the ``--config`` JSON
+object, overlaid with each flag given on the command line whose destination
+is a config key, goes through ``harness.config_from_dict`` once. A flag
+beats the file and the file beats the built-in default. Unknown keys and
+invalid values exit 2, like any other data error.
 """
 
 from __future__ import annotations
@@ -61,11 +64,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="directory written by preprocess")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int, dest="train_seed")
+    _add_train_flags(p)
+    # SUPPRESS: when absent, the subparser must not reset a global --seed.
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--reval-per-epoch", action="store_true", default=None,
+                   dest="revalidate_per_epoch",
                    help="re-draw the validation holdout every epoch")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset split")
@@ -76,26 +79,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("compare", help="train and evaluate a set of zoo models")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--models", help="comma-separated zoo names (default: all ten)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--data", dest="data_path")
+    p.add_argument("--out", dest="output_dir")
+    p.add_argument("--models", dest="model_names", type=_split_names,
+                   help="comma-separated zoo names (default: all ten)")
+    _add_train_flags(p)
     return parser
 
 
-def _load_config_dict(args) -> dict:
-    if not args.config:
-        return {}
-    path = Path(args.config)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: config must be a JSON object")
-    return data
+def _add_train_flags(p) -> None:
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
+    p.add_argument("--lr", type=float, dest="learning_rate")
+
+
+def _split_names(text: str) -> list[str]:
+    return [m.strip() for m in text.split(",") if m.strip()]
 
 
 def _infer_format(path: str, explicit: str | None) -> str:
@@ -121,7 +120,7 @@ def _load_filtered(args, verbose: bool):
     return filter_completed(result.records)
 
 
-def _cmd_ingest(args, cfg: dict) -> int:
+def _cmd_ingest(args, config: harness.ExperimentConfig) -> int:
     records = _load_filtered(args, args.verbose)
     dist = class_distribution(records)
     width = max(len(label.display_name) for label in dist.counts)
@@ -133,17 +132,14 @@ def _cmd_ingest(args, cfg: dict) -> int:
     return 0
 
 
-def _cmd_preprocess(args, cfg: dict) -> int:
+def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
     records = _load_filtered(args, args.verbose)
     if not records:
         raise DataError("no usable records after the completed-investigation filter")
-    vocab_size = args.vocab_size or cfg.get("vocab_size", 100_000)
-    seq_len = args.seq_len or cfg.get("seq_len", 2000)
-    pad = args.pad or cfg.get("pad", "post")
-    stoplist_path = args.stoplist or cfg.get("stoplist")
-    stoplist = load_stoplist(stoplist_path) if stoplist_path else None
+    stoplist = load_stoplist(config.stoplist) if config.stoplist else None
     sequences, labels, vocab = preprocess_corpus(
-        records, vocab_size=vocab_size, seq_len=seq_len, stoplist=stoplist, pad=pad
+        records, vocab_size=config.vocab_size, seq_len=config.seq_len,
+        stoplist=stoplist, pad=config.pad,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,59 +149,23 @@ def _cmd_preprocess(args, cfg: dict) -> int:
     dataset_io.write_encoded_dataset(out_dir / dataset_io.ENCODED_FILENAME, dataset)
     dataset_io.write_vocab_sidecar(out_dir / dataset_io.VOCAB_FILENAME, vocab)
     print(
-        f"encoded {len(dataset)} records (seq_len={seq_len}, "
+        f"encoded {len(dataset)} records (seq_len={config.seq_len}, "
         f"vocab size={vocab.size}) into {out_dir}"
     )
     return 0
 
 
-def _effective_train_config(args, cfg: dict, base_seed: int | None):
-    from .training import TrainConfig
-
-    values = {k: cfg[k] for k in (
-        "epochs", "batch_size", "learning_rate", "beta1", "beta2", "epsilon",
-        "clip_norm", "revalidate_per_epoch",
-    ) if k in cfg}
-    if getattr(args, "epochs", None) is not None:
-        values["epochs"] = args.epochs
-    if getattr(args, "batch", None) is not None:
-        values["batch_size"] = args.batch
-    if getattr(args, "lr", None) is not None:
-        values["learning_rate"] = args.lr
-    if getattr(args, "reval_per_epoch", None) is not None:
-        values["revalidate_per_epoch"] = args.reval_per_epoch
-    seed = base_seed if base_seed is not None else cfg.get("seed", 0)
-    return TrainConfig(seed=seed, **values)
-
-
-def _effective_seed(args, cfg: dict) -> int:
-    if getattr(args, "train_seed", None) is not None:
-        return args.train_seed
-    if args.seed is not None:
-        return args.seed
-    return cfg.get("seed", 0)
-
-
-def _cmd_train(args, cfg: dict) -> int:
-    from .training import SplitSpec
-
+def _cmd_train(args, config: harness.ExperimentConfig) -> int:
     data_dir = Path(args.data)
     dataset = dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME)
     fingerprint = dataset_io.vocab_fingerprint(data_dir / dataset_io.VOCAB_FILENAME)
-    seed = _effective_seed(args, cfg)
-    config = _effective_train_config(args, cfg, seed)
-    split = SplitSpec(
-        seed=seed,
-        test_fraction=cfg.get("test_fraction", 0.20),
-        validation_fraction_of_train=cfg.get("validation_fraction_of_train", 0.10),
-    )
     spec = zoo.build_spec(
         args.model,
-        embedding_dim=cfg.get("embedding_dim", zoo.DEFAULT_EMBEDDING_DIM),
-        hidden_units=cfg.get("hidden_units", zoo.DEFAULT_HIDDEN_UNITS),
-        dense_hidden_units=cfg.get("dense_hidden_units", zoo.DEFAULT_DENSE_HIDDEN_UNITS),
+        embedding_dim=config.embedding_dim,
+        hidden_units=config.hidden_units,
+        dense_hidden_units=config.dense_hidden_units,
     )
-    params, history = train_model(spec, dataset, config, split)
+    params, history = train_model(spec, dataset, config.train, config.split)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, spec, fingerprint, out_dir / harness.CHECKPOINT_FILENAME)
@@ -214,29 +174,21 @@ def _cmd_train(args, cfg: dict) -> int:
     )
     last = history[-1]
     print(
-        f"trained {spec.name} for {config.epochs} epochs: "
+        f"trained {spec.name} for {config.train.epochs} epochs: "
         f"train acc {last.train_accuracy:.4f}, val acc {last.val_accuracy:.4f}"
     )
     print(f"checkpoint and history written to {out_dir}")
     return 0
 
 
-def _cmd_evaluate(args, cfg: dict) -> int:
+def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
     import numpy as np
-
-    from .training import SplitSpec
 
     data_dir = Path(args.data)
     dataset = dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME)
     fingerprint = dataset_io.vocab_fingerprint(data_dir / dataset_io.VOCAB_FILENAME)
     spec, params = load_checkpoint(args.model_file, fingerprint)
-    seed = _effective_seed(args, cfg)
-    split = SplitSpec(
-        seed=seed,
-        test_fraction=cfg.get("test_fraction", 0.20),
-        validation_fraction_of_train=cfg.get("validation_fraction_of_train", 0.10),
-    )
-    train_idx, val_idx, test_idx = split_dataset(len(dataset), split)
+    train_idx, val_idx, test_idx = split_dataset(len(dataset), config.split)
     indices = {
         "train": train_idx,
         "validation": val_idx,
@@ -259,27 +211,11 @@ def _cmd_evaluate(args, cfg: dict) -> int:
     return 0
 
 
-def _cmd_compare(args, cfg: dict) -> int:
-    merged = dict(cfg)
-    if args.data:
-        merged["data_path"] = args.data
-    if args.out:
-        merged["output_dir"] = args.out
-    if args.models:
-        merged["model_names"] = [m.strip() for m in args.models.split(",") if m.strip()]
-    if args.epochs is not None:
-        merged["epochs"] = args.epochs
-    if args.batch is not None:
-        merged["batch_size"] = args.batch
-    if args.lr is not None:
-        merged["learning_rate"] = args.lr
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if not merged.get("data_path"):
+def _cmd_compare(args, config: harness.ExperimentConfig) -> int:
+    if not config.data_path:
         raise _UsageError("compare needs --data or data_path in the config file")
-    if not merged.get("output_dir"):
+    if not config.output_dir:
         raise _UsageError("compare needs --out or output_dir in the config file")
-    config = harness.config_from_dict(merged)
     manifest = harness.run_experiment(config)
     table = Path(config.output_dir) / harness.RESULTS_TABLE_FILENAME
     if table.exists():
@@ -311,8 +247,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise _UsageError("a subcommand is required (see --help)")
-        cfg = _load_config_dict(args)
-        return _COMMANDS[args.command](args, cfg)
+        values = harness.read_config_file(args.config) if args.config else {}
+        values.update({key: value for key, value in vars(args).items()
+                       if key in harness.CONFIG_KEYS and value is not None})
+        return _COMMANDS[args.command](args, harness.config_from_dict(values))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

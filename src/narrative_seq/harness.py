@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,47 +70,70 @@ class ExperimentConfig:
             raise DataError(
                 f"unknown model names {unknown}; zoo models are {list(zoo.ZOO_NAMES)}"
             )
+        # vocab_size counts the reserved padding and OOV ids.
+        for name, least in (("seq_len", 1), ("vocab_size", 2), ("embedding_dim", 1),
+                            ("hidden_units", 1), ("dense_hidden_units", 1)):
+            if getattr(self, name) < least:
+                raise DataError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        if self.pad not in ("pre", "post"):
+            raise DataError(f"pad must be 'pre' or 'post', got {self.pad!r}")
 
 
-_TRAIN_KEYS = (
-    "epochs", "batch_size", "learning_rate", "beta1", "beta2", "epsilon",
-    "clip_norm", "seed", "revalidate_per_epoch",
-)
-_SPLIT_KEYS = ("test_fraction", "validation_fraction_of_train")
-_TOP_KEYS = (
-    "data_path", "output_dir", "model_names", "seq_len", "vocab_size", "pad",
-    "stoplist", "embedding_dim", "hidden_units", "dense_hidden_units",
-)
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+_SPLIT_KEYS = tuple(f.name for f in fields(SplitSpec))
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in ("train", "split"))
+CONFIG_KEYS = frozenset(_TOP_KEYS + _TRAIN_KEYS + _SPLIT_KEYS)
+
+# JSON types accepted per field annotation (a string: these modules use
+# postponed annotations). An int may stand for a float; a bool is not a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "str | None": (str, type(None)), "tuple[str, ...]": (list, tuple)}
+_FIELD_TYPES = {f.name: f.type for cls in (TrainConfig, SplitSpec, ExperimentConfig)
+                for f in fields(cls)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a flat key-value mapping (the config file schema).
 
     ``seed`` seeds both training and the split so one number pins a run.
+    Unknown keys, values of the wrong JSON type and out-of-range values all
+    raise ``DataError`` naming the key.
     """
-    unknown = set(data) - set(_TOP_KEYS) - set(_TRAIN_KEYS) - set(_SPLIT_KEYS)
+    unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise DataError(f"unknown config keys {sorted(unknown)}")
-    train = TrainConfig(**{k: data[k] for k in _TRAIN_KEYS if k in data})
-    split = SplitSpec(
-        seed=data.get("seed", 0),
-        **{k: data[k] for k in _SPLIT_KEYS if k in data},
-    )
+    for key, value in data.items():
+        annotation = _FIELD_TYPES[key]
+        if (isinstance(value, bool) != (annotation == "bool")
+                or not isinstance(value, _JSON_TYPES[annotation])):
+            raise DataError(f"config key {key!r} must be {annotation}, got {value!r}")
     top = {k: data[k] for k in _TOP_KEYS if k in data}
     if "model_names" in top:
         top["model_names"] = tuple(top["model_names"])
-    return ExperimentConfig(train=train, split=split, **top)
+    try:
+        return ExperimentConfig(
+            train=TrainConfig(**{k: data[k] for k in _TRAIN_KEYS if k in data}),
+            split=SplitSpec(**{k: data[k] for k in _SPLIT_KEYS if k in data}),
+            **top,
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"invalid config: {exc}") from exc
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_config_file(path: str | Path) -> dict:
+    """The JSON object in a config file, unvalidated."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"{path}: config must be a JSON object")
-    return config_from_dict(data)
+    return data
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(read_config_file(path))
 
 
 def _dump_json(payload: dict) -> str:

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus_ingest import DamageLabel, OccurrenceRecord
+from .errors import DataError
 
 PAD_INDEX = 0
 OOV_INDEX = 1
@@ -69,7 +70,10 @@ def default_stoplist() -> frozenset[str]:
 def load_stoplist(path) -> frozenset[str]:
     """Read a stoplist file: one token per line, ``#`` starts a comment."""
     tokens: set[str] = set()
-    text = Path(str(path)).read_text(encoding="utf-8") if isinstance(path, (str, Path)) else path.read_text(encoding="utf-8")
+    try:
+        text = (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
+        raise DataError(f"cannot read stoplist {path}: {exc}") from exc
     for line in text.splitlines():
         entry = line.split("#", 1)[0].strip()
         if entry:

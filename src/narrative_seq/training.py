@@ -50,9 +50,9 @@ class SplitSpec:
     validation_fraction_of_train: float = 0.10
 
     def __post_init__(self):
-        for frac in (self.test_fraction, self.validation_fraction_of_train):
-            if not 0.0 <= frac < 1.0:
-                raise ValueError(f"fractions must lie in [0, 1), got {frac}")
+        for name in ("test_fraction", "validation_fraction_of_train"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,16 @@ class TrainConfig:
     revalidate_per_epoch: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.clip_norm <= 0 or self.epsilon <= 0:
-            raise ValueError("learning_rate, clip_norm and epsilon must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie strictly between 0 and 1")
+        for name in ("epochs", "batch_size", "learning_rate", "clip_norm", "epsilon"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(
+                    f"{name} must lie strictly between 0 and 1, got {getattr(self, name)!r}"
+                )
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass

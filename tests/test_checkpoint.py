@@ -1,8 +1,10 @@
+import json
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from narrative_seq.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from narrative_seq.errors import CheckpointError
@@ -119,3 +121,98 @@ class TestGuards:
         loaded_spec, _ = load_checkpoint(path, FP)
         assert loaded_spec == spec
         assert loaded_spec.recurrent_stack[0].kind.value == "gru"
+
+
+def _rewrite_header(path, edit):
+    """Replace the JSON header with ``edit(header)``, keeping the blob."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = edit(json.loads(raw[start:start + header_len]))
+    body = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(body)) + body + raw[start + header_len:])
+
+
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _drop_tensor(name):
+    def edit(header):
+        header["tensors"] = [e for e in header["tensors"] if e["name"] != name]
+        return header
+    return edit
+
+
+def _set_tensor(name, field, value):
+    def edit(header):
+        next(e for e in header["tensors"] if e["name"] == name)[field] = value
+        return header
+    return edit
+
+
+def _set_spec(field, value):
+    def edit(header):
+        header["model_spec"][field] = value
+        return header
+    return edit
+
+
+class TestMalformedHeader:
+    """Every malformed file raises CheckpointError, never a bare struct,
+    key or index error."""
+
+    @pytest.mark.parametrize("length", [len(MAGIC), len(MAGIC) + 7])
+    def test_shorter_than_magic_and_length(self, tmp_path, length):
+        path = tmp_path / "short.nsck"
+        path.write_bytes(MAGIC + b"\x00" * (length - len(MAGIC)))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path, FP)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda header: [header], "not a JSON object"),
+        (_without("format_version"), "format_version"),
+        (_without("model_spec"), "model_spec"),
+        (_without("vocab_fingerprint"), "vocab_fingerprint"),
+        (_without("blob_dtype"), "blob_dtype"),
+        (_without("blob_bytes"), "blob_bytes"),
+        (_without("tensors"), "tensors"),
+        (lambda header: dict(header, blob_dtype="float16"), "blob_dtype 'float16'"),
+        (_drop_tensor("output.b"), "output.b"),
+        (_set_tensor("output.W", "shape", [4, 6]), "output.W"),
+        (_set_tensor("output.W", "name", "output.V"), "output.V"),
+        (_set_spec("dense_hidden_units", 7), "dense_hidden.W"),
+        (_set_spec("recurrent_stack", []), "recurrent_stack"),
+        (_set_tensor("output.b", "offset", 10**6), "offset"),
+        (_set_tensor("output.b", "shape", 4), "TypeError"),
+    ], ids=["list", "no-version", "no-spec", "no-fingerprint", "no-dtype", "no-bytes",
+            "no-tensors", "float16", "dropped-tensor", "wrong-shape", "renamed-tensor",
+            "spec-width", "empty-stack", "offset-past-blob", "shape-not-list"])
+    def test_malformed_header(self, tmp_path, spec_and_params, edit, match):
+        spec, params = spec_and_params
+        path = tmp_path / "model.nsck"
+        save_checkpoint(params, spec, FP, path)
+        _rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path, FP)
+
+    # The fixture's spec and params are only read, so sharing them across
+    # examples is safe.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_flipped_byte_before_blob(self, tmp_path_factory, spec_and_params, data):
+        # A changed byte in the magic, length or header either still loads
+        # or raises CheckpointError; nothing else escapes.
+        spec, params = spec_and_params
+        path = tmp_path_factory.mktemp("flip") / "model.nsck"
+        save_checkpoint(params, spec, FP, path)
+        raw = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+        pos = data.draw(st.integers(0, len(MAGIC) + 8 + header_len - 1))
+        raw[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path, FP)
+        except CheckpointError:
+            pass

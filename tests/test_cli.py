@@ -189,6 +189,128 @@ class TestPipelineFlow:
         assert "usage error" in capsys.readouterr().err
 
 
+SMALL = {"embedding_dim": 4, "hidden_units": 4, "dense_hidden_units": 4}
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory, encoded_dir):
+    dataset = dataset_io.read_encoded_dataset(encoded_dir / dataset_io.ENCODED_FILENAME)
+    spec = build_spec("sRNN", **SMALL)
+    path = tmp_path_factory.mktemp("cli_model") / "model.nsck"
+    save_checkpoint(init_params(spec, dataset.vocab_size, SeededRng(0)), spec,
+                    dataset_io.vocab_fingerprint(encoded_dir / dataset_io.VOCAB_FILENAME), path)
+    return path
+
+
+def _command_argv(command, out, corpus_file, encoded_dir, model_file):
+    """A run of ``command`` that succeeds with the ``SMALL`` config file."""
+    return {
+        "ingest": ["ingest", "--data", str(corpus_file)],
+        "preprocess": ["preprocess", "--data", str(corpus_file), "--out", str(out),
+                       "--vocab-size", "50"],
+        "train": ["train", "--data", str(encoded_dir), "--model", "sRNN", "--out", str(out)],
+        "evaluate": ["evaluate", "--model-file", str(model_file), "--data", str(encoded_dir),
+                     "--out", str(out)],
+        "compare": ["compare", "--data", str(encoded_dir), "--out", str(out), "--models", "sRNN"],
+    }[command]
+
+
+@pytest.mark.parametrize("command,flags,values,key", [
+    ("train", ["--epochs", "0"], {}, "epochs"),
+    ("train", ["--batch", "0"], {}, "batch_size"),
+    ("train", ["--seed", "-1"], {}, "seed"),
+    ("preprocess", ["--seq-len", "0"], {}, "seq_len"),
+    ("preprocess", ["--vocab-size", "0"], {}, "vocab_size"),
+    ("preprocess", ["--vocab-size", "1"], {}, "vocab_size"),
+    ("train", [], {"test_fraction": 1.5}, "test_fraction"),
+    ("preprocess", [], {"pad": "middle"}, "pad"),
+    ("preprocess", [], {"stoplist": "no-such-stoplist.txt"}, "stoplist"),
+    ("train", [], {"epochs": "2"}, "epochs"),
+    ("train", [], {"epochs": 2.5}, "epochs"),
+    ("train", [], {"revalidate_per_epoch": 1}, "revalidate_per_epoch"),
+    ("ingest", [], {"bogus": 1}, "bogus"),
+    ("preprocess", [], {"bogus": 1}, "bogus"),
+    ("train", [], {"bogus": 1}, "bogus"),
+    ("evaluate", [], {"bogus": 1}, "bogus"),
+    ("compare", [], {"bogus": 1}, "bogus"),
+], ids=["epochs-0", "batch-0", "seed-negative", "seq_len-0", "vocab_size-0", "vocab_size-1",
+        "test_fraction-1.5", "pad-middle", "stoplist-missing", "epochs-str", "epochs-float",
+        "reval-int", "ingest-bogus", "preprocess-bogus", "train-bogus", "evaluate-bogus",
+        "compare-bogus"])
+def test_invalid_config_is_data_error(tmp_path, corpus_file, encoded_dir, model_file,
+                                      capsys, command, flags, values, key):
+    # Exit 2 naming the key, and nothing written.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL, "epochs": 1, **values}))
+    out = tmp_path / "out"
+    argv = _command_argv(command, out, corpus_file, encoded_dir, model_file)
+    assert run_cli("--config", str(config), *argv, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and key in err
+    assert not out.exists()
+
+
+def test_invalid_config_exits_without_traceback(tmp_path, encoded_dir):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": "2"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "narrative_seq", "--config", str(config), "train",
+         "--data", str(encoded_dir), "--model", "sRNN", "--out", str(tmp_path / "m")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "data error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _history_epochs(out):
+    return len((out / "history.csv").read_text(encoding="utf-8").splitlines()) - 1
+
+
+def _nseq_seq_len(out):
+    return dataset_io.read_encoded_dataset(out / dataset_io.ENCODED_FILENAME).sequences.shape[1]
+
+
+def _manifest_value(key):
+    return lambda out: json.loads((out / "manifest.json").read_text())["config"][key]
+
+
+@pytest.mark.parametrize("source", ["flag", "file", "default"])
+@pytest.mark.parametrize("command,flag,key,flag_value,file_value,default,read", [
+    ("train", "--epochs", "epochs", 3, 2, 10, _history_epochs),
+    ("preprocess", "--seq-len", "seq_len", 12, 9, 2000, _nseq_seq_len),
+    ("compare", "--epochs", "epochs", 2, 1, 10, _manifest_value("epochs")),
+    ("compare", "--seed", "seed", 7, 5, 0, _manifest_value("seed")),
+], ids=["train-epochs", "preprocess-seq_len", "compare-epochs", "compare-seed"])
+def test_flag_beats_file_beats_default(tmp_path, corpus_file, encoded_dir, source, command,
+                                       flag, key, flag_value, file_value, default, read):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, **({key: file_value} if source != "default" else {}))))
+    out = tmp_path / "out"
+    argv = _command_argv(command, out, corpus_file, encoded_dir, None)
+    if source == "flag":
+        # compare has no --seed of its own; the global flag precedes it.
+        given = [flag, str(flag_value)]
+        argv = [*given, *argv] if flag == "--seed" else [*argv, *given]
+    assert run_cli("--config", str(config), *argv) == 0
+    assert read(out) == {"flag": flag_value, "file": file_value, "default": default}[source]
+
+
+def test_seed_flag_is_the_same_before_and_after_train(tmp_path, encoded_dir):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, epochs=1)))
+    train = ["train", "--data", str(encoded_dir), "--model", "sRNN"]
+
+    def checkpoint(name, *argv):
+        assert run_cli("--config", str(config), *argv, "--out", str(tmp_path / name)) == 0
+        return (tmp_path / name / "checkpoint.nsck").read_bytes()
+
+    global_seed = checkpoint("global", "--seed", "3", *train)
+    assert checkpoint("train", *train, "--seed", "3") == global_seed
+    # The subcommand's flag wins over the global one.
+    assert checkpoint("both", "--seed", "4", *train, "--seed", "3") == global_seed
+    assert checkpoint("default", *train) != global_seed
+
+
 def test_installed_entrypoint_smoke(corpus_file):
     proc = subprocess.run(
         [sys.executable, "-m", "narrative_seq", "ingest", "--data", str(corpus_file)],

@@ -58,6 +58,33 @@ class TestConfig:
         with pytest.raises(DataError):
             config_from_dict({"model_names": []})
 
+    @pytest.mark.parametrize("values,key", [
+        ({"seed": True}, "seed"),
+        ({"epochs": 2.0}, "epochs"),
+        ({"learning_rate": "0.01"}, "learning_rate"),
+        ({"model_names": "LSTM"}, "model_names"),
+        ({"stoplist": 3}, "stoplist"),
+        ({"hidden_units": 0}, "hidden_units"),
+        ({"beta2": 1.0}, "beta2"),
+        ({"clip_norm": float("nan")}, "clip_norm"),
+    ], ids=["bool-seed", "float-epochs", "str-lr", "str-models", "int-stoplist",
+            "zero-width", "beta2-1", "nan-clip"])
+    def test_invalid_values_name_the_key(self, values, key):
+        with pytest.raises(DataError, match=key):
+            config_from_dict(values)
+
+    def test_int_accepted_for_float(self):
+        assert config_from_dict({"learning_rate": 1, "clip_norm": 2}).train.clip_norm == 2
+
+    def test_readme_schema_matches(self):
+        # The README's schema block lists every accepted key with its default.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file schema", 1)[1]
+        schema = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        assert set(schema) == harness.CONFIG_KEYS
+        paths = {"data_path": "", "output_dir": ""}
+        assert config_from_dict({**schema, **paths}) == config_from_dict({})
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"epochs": 3, "model_names": ["LSTM"]}))
