@@ -141,8 +141,7 @@ def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
         records, vocab_size=config.vocab_size, seq_len=config.seq_len,
         stoplist=stoplist, pad=config.pad,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = harness.make_output_dir(args.out)
     dataset = dataset_io.EncodedDataset(
         sequences=sequences, labels=labels, vocab_size=vocab.size
     )
@@ -166,8 +165,7 @@ def _cmd_train(args, config: harness.ExperimentConfig) -> int:
         dense_hidden_units=config.dense_hidden_units,
     )
     params, history = train_model(spec, dataset, config.train, config.split)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = harness.make_output_dir(args.out)
     save_checkpoint(params, spec, fingerprint, out_dir / harness.CHECKPOINT_FILENAME)
     (out_dir / harness.HISTORY_FILENAME).write_text(
         history_to_csv(history), encoding="utf-8"
@@ -201,8 +199,7 @@ def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
     print(f"{spec.name} on the {args.split} split ({indices.size} records)")
     print(format_evaluation_summary(weighted, macro, baseline), end="")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = harness.make_output_dir(args.out)
         payload = metrics_to_dict(weighted, macro, cm, baseline)
         (out_dir / harness.METRICS_FILENAME).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -136,6 +136,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(read_config_file(path))
 
 
+def make_output_dir(path: str | Path) -> Path:
+    """Create the directory ``path`` and its parents unless they exist.
+
+    A file standing where a directory must be is a ``DataError`` naming the
+    path, not an ``OSError`` escaping the CLI.
+    """
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise DataError(f"cannot create output directory {str(out)!r}: {exc.strerror}") from exc
+    return out
+
+
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -157,8 +171,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Train, evaluate, and serialize every selected model; returns the
     manifest that was also written to the output directory."""
     data_dir = Path(config.data_path)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(config.output_dir)
     dataset = dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME)
     fingerprint = dataset_io.vocab_fingerprint(data_dir / dataset_io.VOCAB_FILENAME)
     _, _, test_idx = split_dataset(len(dataset), config.split)
@@ -170,8 +183,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             hidden_units=config.hidden_units,
             dense_hidden_units=config.dense_hidden_units,
         )
-        model_dir = out_dir / name
-        model_dir.mkdir(parents=True, exist_ok=True)
+        model_dir = make_output_dir(out_dir / name)
         try:
             params, history = train_model(spec, dataset, config.train, config.split)
         except NumericError as exc:

@@ -26,6 +26,13 @@ one recurrent GEMM (two for the GRU, whose candidate needs the reset gate)
 and one sigmoid call per step, and keeps its caches time-major
 (``[L, B, ...]``) so every per-step read and write is one contiguous block.
 
+The backward pass walks the same chunks from last to first. Its step loop
+keeps only the recurrence: one GEMM per step on the fused ``U`` for the
+state gradient over all gates (the GRU adds one on ``U_h``). The weight,
+bias and input gradients are one GEMM (or sum) per chunk over its stacked
+steps, so they are summed per chunk and then across chunks; that order
+fixes the bits of trained parameters, not their values beyond rounding.
+
 The kernel runs in one of two modes, picked by whether the caller needs a
 cache. ``model_forward`` (training, followed by ``model_backward``) keeps
 the full BPTT cache: every step's states, gates and LSTM cell states.
@@ -261,9 +268,10 @@ FUSED_GATES: Mapping[CellKind, tuple[str, ...]] = {
 }
 _SIGMOID_GATES = {CellKind.SRNN: 0, CellKind.LSTM: 3, CellKind.GRU: 2}
 
-# Time steps per input-projection GEMM. One GEMM over a whole sequence would
-# hold an [L, B, G*H] buffer (262 MB for an LSTM at L=2000, B=64, H=64); a
-# chunk keeps it near 8 MB and still amortises the call over many steps.
+# Time steps per input-projection GEMM, and per weight- and input-gradient
+# GEMM in the backward pass. One GEMM over a whole sequence would hold an
+# [L, B, G*H] buffer (262 MB for an LSTM at L=2000, B=64, H=64); a chunk
+# keeps it near 8 MB and still amortises the call over many steps.
 CHUNK_STEPS = 64
 
 
@@ -415,81 +423,95 @@ def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Te
     ``d_out`` is the gradient of every step's output [L, B, H], or of the
     final state only [B, H].
 
-    ``dW`` and ``dU`` take one GEMM per step into fused buffers. The input
-    and state gradients keep one GEMM per gate, summed in GATE_NAMES order:
-    fusing them would change the summation order and hence the bits.
+    Chunks of ``CHUNK_STEPS`` steps are walked from the last (partial) one
+    back to the first. The step loop keeps only the recurrence: it writes
+    each step's pre-activation gradient into a ``[chunk, B, G*H]`` buffer
+    and takes ``dh_prev`` over all gates with one GEMM on the fused ``U``
+    (the GRU adds one on ``U_h`` for its candidate). After the loop, ``dW``,
+    ``dU``, the GRU's ``dU_h`` and the input gradient are one GEMM each over
+    the chunk's ``chunk*B`` rows and ``db`` is one sum; the factors that
+    depend on the cache alone are formed once per chunk before it. Sums thus
+    run within a chunk and then across chunks, so the bits depend on
+    ``CHUNK_STEPS`` and the values do only by rounding.
     """
     kind = cache.kind
     _, act_deriv = _ACTIVATIONS[activation]
     L, B, n_in = cache.x.shape
     H = cache.h.shape[2]
-    n_sig = _SIGMOID_GATES[kind] * H
+    W, U, _ = _fuse_params(kind, p, n_in, H)
+    n_sig, n_u = _SIGMOID_GATES[kind] * H, U.shape[1]
     cols = _gate_columns(kind, H)
-    d_pre = np.empty((B, len(cols) * H))
-    dW = np.zeros((n_in, d_pre.shape[1]))
-    dU = np.zeros((H, n_sig if kind is CellKind.GRU else d_pre.shape[1]))
-    db = np.zeros(d_pre.shape[1])
+    dW, dU, db = np.zeros(W.shape), np.zeros(U.shape), np.zeros(W.shape[1])
     dU_h = np.zeros((H, H)) if kind is CellKind.GRU else None
-    x_terms = [(cols[g], p[f"W{g}"].T) for g in GATE_NAMES[kind]]
-    h_terms = [(cols[g], p[f"U{g}"].T) for g in GATE_NAMES[kind]
-               if not (kind is CellKind.GRU and g == "_h")]
-    d_x = np.zeros_like(cache.x)
+    d_x = np.empty(cache.x.shape)
+    d_pre_rows = np.empty((min(CHUNK_STEPS, L), B, W.shape[1]))
     sequence = d_out.ndim == 3
     dh_carry = np.zeros((B, H)) if sequence else d_out
     dc_carry = np.zeros((B, H))
 
-    for t in range(L - 1, -1, -1):
-        x_t, h_prev = cache.x[t], cache.h[t]
-        dh_total = d_out[t] + dh_carry if sequence else dh_carry
-        if cache.mask is None:
-            dh_raw, dc_raw_in = dh_total, dc_carry
-        else:
-            m = cache.mask[t]
-            dh_raw = dh_total * m
-            dh_prev_extra = dh_total * (1.0 - m)
-            dc_raw_in = dc_carry * m
-            dc_prev_extra = dc_carry * (1.0 - m)
-
+    for t0 in reversed(range(0, L, CHUNK_STEPS)):
+        t1 = min(t0 + CHUNK_STEPS, L)
+        d_pre, h_prev = d_pre_rows[:t1 - t0], cache.h[t0:t1]
+        # fac: each gate's pre-activation gradient per unit of its upstream
+        # gradient. It depends on the cache alone.
         if kind is CellKind.SRNN:
             # h[t+1] equals the pre-mask state wherever the mask lets the
             # gradient through.
-            d_pre[:] = dh_raw * act_deriv(cache.h[t + 1])
-            dh = np.zeros((B, H))
-        elif kind is CellKind.LSTM:
-            g_t = cache.gates[t]
-            i, f, o, g = (g_t[:, cols[k]] for k in ("_i", "_f", "_o", "_g"))
-            ac = cache.ac[t]
-            dc = dc_raw_in + dh_raw * o * act_deriv(ac)
-            d_pre[:, cols["_i"]] = dc * g
-            d_pre[:, cols["_f"]] = dc * cache.c[t]
-            d_pre[:, cols["_o"]] = dh_raw * ac
-            d_pre[:, :n_sig] *= _sigmoid_deriv(g_t[:, :n_sig])
-            d_pre[:, cols["_g"]] = dc * i * act_deriv(g)
-            dh = np.zeros((B, H))
-            dc_carry = dc * f
-            if cache.mask is not None:
-                dc_carry += dc_prev_extra
-        else:  # GRU
-            g_t = cache.gates[t]
-            z, r, hbar = (g_t[:, cols[k]] for k in ("_z", "_r", "_h"))
-            d_pre[:, cols["_h"]] = dh_raw * z * act_deriv(hbar)
-            d_rh = matmul(d_pre[:, cols["_h"]], p["U_h"].T)
-            d_pre[:, cols["_z"]] = dh_raw * (hbar - h_prev)
-            d_pre[:, cols["_r"]] = d_rh * h_prev
-            d_pre[:, :n_sig] *= _sigmoid_deriv(g_t[:, :n_sig])
-            dU_h += matmul((r * h_prev).T, d_pre[:, cols["_h"]])
-            dh = dh_raw * (1.0 - z) + d_rh * r
+            fac = act_deriv(cache.h[t0 + 1:t1 + 1])
+        else:
+            gates = cache.gates[t0:t1]
+            fac = np.empty(gates.shape)
+            fac[..., :n_sig] = _sigmoid_deriv(gates[..., :n_sig])
+        if kind is CellKind.LSTM:
+            i, f, o, g = (gates[..., cols[k]] for k in ("_i", "_f", "_o", "_g"))
+            # i, f and o scale g, c[t] and act(c[t+1]) in the forward.
+            fac[..., :n_sig] *= np.concatenate([g, cache.c[t0:t1], cache.ac[t0:t1]], axis=2)
+            fac[..., cols["_g"]], o_dac = i * act_deriv(g), o * act_deriv(cache.ac[t0:t1])
+        elif kind is CellKind.GRU:
+            z, r, hbar = (gates[..., cols[k]] for k in ("_z", "_r", "_h"))
+            # z scales hbar - h[t]; r scales h[t] inside the candidate.
+            fac[..., :n_sig] *= np.concatenate([hbar - h_prev, h_prev], axis=2)
+            fac[..., cols["_h"]], keep_z = z * act_deriv(hbar), 1.0 - z
 
-        dW += matmul(x_t.T, d_pre)
-        dU += matmul(h_prev.T, d_pre[:, :dU.shape[1]])
-        db += d_pre.sum(axis=0)
-        for cs, Wt in x_terms:
-            d_x[t] += matmul(d_pre[:, cs], Wt)
-        for cs, Ut in h_terms:
-            dh += matmul(d_pre[:, cs], Ut)
-        if cache.mask is not None:
-            dh += dh_prev_extra
-        dh_carry = dh
+        for s in range(t1 - t0 - 1, -1, -1):
+            t, dp, fs = t0 + s, d_pre[s], fac[s]
+            dh_total = d_out[t] + dh_carry if sequence else dh_carry
+            if cache.mask is None:
+                dh_raw, dc_raw_in = dh_total, dc_carry
+            else:
+                m = cache.mask[t]
+                dh_raw, dh_prev_extra = dh_total * m, dh_total * (1.0 - m)
+                dc_raw_in, dc_prev_extra = dc_carry * m, dc_carry * (1.0 - m)
+
+            if kind is CellKind.SRNN:
+                np.multiply(dh_raw, fs, out=dp)
+            elif kind is CellKind.LSTM:
+                dc = dc_raw_in + dh_raw * o_dac[s]
+                # dc scales the i, f and g factors; o's scales dh instead.
+                np.multiply(fs.reshape(B, -1, H), dc[:, None], out=dp.reshape(B, -1, H))
+                dp[:, cols["_o"]] = dh_raw * fs[:, cols["_o"]]
+                dc_carry = dc * f[s]
+                if cache.mask is not None:
+                    dc_carry += dc_prev_extra
+            else:  # GRU
+                dp[:, cols["_h"]] = dh_raw * fs[:, cols["_h"]]
+                d_rh = matmul(dp[:, cols["_h"]], p["U_h"].T)
+                dp[:, cols["_z"]] = dh_raw * fs[:, cols["_z"]]
+                dp[:, cols["_r"]] = d_rh * fs[:, cols["_r"]]
+            dh = matmul(dp[:, :n_u], U.T)
+            if kind is CellKind.GRU:
+                dh += dh_raw * keep_z[s] + d_rh * r[s]
+            if cache.mask is not None:
+                dh += dh_prev_extra
+            dh_carry = dh
+
+        rows = d_pre.reshape(-1, W.shape[1])
+        dW += matmul(cache.x[t0:t1].reshape(-1, n_in).T, rows)
+        dU += matmul(h_prev.reshape(-1, H).T, rows[:, :n_u])
+        db += rows.sum(axis=0)
+        d_x[t0:t1] = matmul(rows, W.T).reshape(t1 - t0, B, n_in)
+        if kind is CellKind.GRU:
+            dU_h += matmul((r * h_prev).reshape(-1, H).T, rows[:, cols["_h"]])
 
     grads: ParamDict = {}
     for gate, cs in cols.items():
@@ -743,22 +765,19 @@ def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
         raise DimensionError(
             f"labels {onehot.shape} do not match probabilities {cache.probs.shape}"
         )
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    grads = zero_grads(params)
 
     d_logits = (cache.probs - onehot) / B
+    head_in = cache.hidden if spec.use_dense_hidden else cache.features
+    grads["output.W"] += matmul(head_in.T, d_logits)
+    grads["output.b"] += d_logits.sum(axis=0)
+    d_feat = matmul(d_logits, params["output.W"].T)
     if spec.use_dense_hidden:
         _, act_deriv = _ACTIVATIONS[spec.hidden_activation]
-        grads["output.W"] += matmul(cache.hidden.T, d_logits)
-        grads["output.b"] += d_logits.sum(axis=0)
-        d_hidden = matmul(d_logits, params["output.W"].T)
-        d_pre = d_hidden * act_deriv(cache.hidden)
+        d_pre = d_feat * act_deriv(cache.hidden)
         grads["dense_hidden.W"] += matmul(cache.features.T, d_pre)
         grads["dense_hidden.b"] += d_pre.sum(axis=0)
         d_feat = matmul(d_pre, params["dense_hidden.W"].T)
-    else:
-        grads["output.W"] += matmul(cache.features.T, d_logits)
-        grads["output.b"] += d_logits.sum(axis=0)
-        d_feat = matmul(d_logits, params["output.W"].T)
 
     d_next: Tensor = d_feat  # gradient flowing into the layer below
     for i in range(len(spec.recurrent_stack) - 1, -1, -1):

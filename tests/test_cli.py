@@ -262,6 +262,24 @@ def test_invalid_config_exits_without_traceback(tmp_path, encoded_dir):
     assert "data error" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "compare"])
+def test_out_naming_a_file_is_data_error(tmp_path, corpus_file, encoded_dir, model_file,
+                                         command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, epochs=1)))
+    out = tmp_path / "afile"
+    out.write_text("not a directory", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "narrative_seq", "--config", str(config),
+         *_command_argv(command, out, corpus_file, encoded_dir, model_file)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "data error" in proc.stderr and str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.read_text(encoding="utf-8") == "not a directory"
+
+
 def _history_epochs(out):
     return len((out / "history.csv").read_text(encoding="utf-8").splitlines()) - 1
 
