@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset_io import write_atomic
 from .errors import CheckpointError
 from .neural_layers import ModelSpec, ParamDict, param_shapes
 
@@ -51,11 +52,8 @@ def save_checkpoint(params: ParamDict, spec: ModelSpec, vocab_fingerprint: str,
         "tensors": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path = Path(path)
     try:
-        path.write_bytes(
-            MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + bytes(blob)
-        )
+        write_atomic(path, MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + blob)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 

@@ -10,6 +10,12 @@ object, overlaid with each flag given on the command line whose destination
 is a config key, goes through ``harness.config_from_dict`` once. A flag
 beats the file and the file beats the built-in default. Unknown keys and
 invalid values exit 2, like any other data error.
+
+The subcommands are thin: ``train`` and ``compare`` train and save through
+``harness.train_and_save``, ``train`` and ``evaluate`` read their dataset
+directory through ``harness.read_dataset_dir``, and ``evaluate`` scores
+through ``harness.evaluate_on``. An ``--out`` that cannot be a directory
+exits 2 before any training starts.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ import sys
 
 from pathlib import Path
 
-from . import dataset_io, harness, zoo
-from .checkpoint import load_checkpoint, save_checkpoint
+from . import dataset_io, harness
+from .checkpoint import load_checkpoint
 from .corpus_ingest import class_distribution, filter_completed, load_reports
-from .errors import DataError, NumericError
+from .errors import CheckpointError, DataError, NumericError
 from .evaluation import format_evaluation_summary, metrics_to_dict
 from .text_pipeline import load_stoplist, preprocess_corpus
-from .training import history_to_csv, split_dataset, train_model
+from .training import split_dataset
 
 
 class _UsageError(Exception):
@@ -155,37 +161,27 @@ def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_train(args, config: harness.ExperimentConfig) -> int:
-    data_dir = Path(args.data)
-    dataset = dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME)
-    fingerprint = dataset_io.vocab_fingerprint(data_dir / dataset_io.VOCAB_FILENAME)
-    spec = zoo.build_spec(
-        args.model,
-        embedding_dim=config.embedding_dim,
-        hidden_units=config.hidden_units,
-        dense_hidden_units=config.dense_hidden_units,
-    )
-    params, history = train_model(spec, dataset, config.train, config.split)
-    out_dir = harness.make_output_dir(args.out)
-    save_checkpoint(params, spec, fingerprint, out_dir / harness.CHECKPOINT_FILENAME)
-    (out_dir / harness.HISTORY_FILENAME).write_text(
-        history_to_csv(history), encoding="utf-8"
-    )
+    dataset, fingerprint = harness.read_dataset_dir(args.data)
+    spec, _, history = harness.train_and_save(args.model, config, dataset, fingerprint,
+                                              args.out)
     last = history[-1]
     print(
         f"trained {spec.name} for {config.train.epochs} epochs: "
         f"train acc {last.train_accuracy:.4f}, val acc {last.val_accuracy:.4f}"
     )
-    print(f"checkpoint and history written to {out_dir}")
+    print(f"checkpoint and history written to {Path(args.out)}")
     return 0
 
 
 def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
     import numpy as np
 
-    data_dir = Path(args.data)
-    dataset = dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME)
-    fingerprint = dataset_io.vocab_fingerprint(data_dir / dataset_io.VOCAB_FILENAME)
+    dataset, fingerprint = harness.read_dataset_dir(args.data)
     spec, params = load_checkpoint(args.model_file, fingerprint)
+    rows = params["embedding"].shape[0]
+    if rows != dataset.vocab_size:
+        raise CheckpointError(f"{args.model_file}: embedding has {rows} rows, but the "
+                              f"dataset's vocabulary size is {dataset.vocab_size}")
     train_idx, val_idx, test_idx = split_dataset(len(dataset), config.split)
     indices = {
         "train": train_idx,
@@ -193,18 +189,15 @@ def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
         "test": test_idx,
         "all": np.arange(len(dataset)),
     }[args.split]
-    cm, weighted, macro, baseline = harness._evaluate_on(
+    cm, weighted, macro, baseline = harness.evaluate_on(
         spec, params, dataset, indices, batch_size=64
     )
     print(f"{spec.name} on the {args.split} split ({indices.size} records)")
     print(format_evaluation_summary(weighted, macro, baseline), end="")
     if args.out:
-        out_dir = harness.make_output_dir(args.out)
-        payload = metrics_to_dict(weighted, macro, cm, baseline)
-        (out_dir / harness.METRICS_FILENAME).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"metrics written to {out_dir / harness.METRICS_FILENAME}")
+        metrics_path = harness.make_output_dir(args.out) / harness.METRICS_FILENAME
+        harness.write_json(metrics_path, metrics_to_dict(weighted, macro, cm, baseline))
+        print(f"metrics written to {metrics_path}")
     return 0
 
 

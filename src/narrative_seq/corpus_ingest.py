@@ -120,7 +120,7 @@ def load_reports(path: str | Path, format: str) -> LoadResult:
         raise DataError(f"unknown corpus format {format!r}; expected 'json' or 'csv'")
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
 
     if format == "json":

@@ -9,12 +9,16 @@ The vocabulary sidecar is a JSON array of ``{token, index, frequency}``
 objects ordered by index, with the reserved entries serialized as ``<pad>``
 and ``<oov>`` at frequency 0. Its byte content is deterministic, so its
 SHA-256 serves as the vocabulary fingerprint checkpoints are pinned to.
+
+Every artifact the package writes (these two, checkpoints, histories,
+metrics, results and manifests) goes through ``write_atomic``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,15 +61,28 @@ class EncodedDataset:
         return int(self.sequences.shape[1])
 
 
-def write_encoded_dataset(path: str | Path, dataset: EncodedDataset) -> None:
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through the temp sibling ``.<name>.tmp``
+    and a rename, so an interrupted write leaves the previous file or none,
+    never a partial one. The file gets the usual umask-derived mode."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_encoded_dataset(path: str | Path, dataset: EncodedDataset) -> None:
     n, seq_len = dataset.sequences.shape
     ids = np.ascontiguousarray(dataset.sequences, dtype="<u4")
     labels = np.ascontiguousarray(dataset.labels, dtype=np.uint8)
     records = np.empty((n, 1 + 4 * seq_len), dtype=np.uint8)
     records[:, 0] = labels
     records[:, 1:] = ids.view(np.uint8).reshape(n, 4 * seq_len)
-    path.write_bytes(MAGIC + _HEADER.pack(seq_len, dataset.vocab_size, n) + records.tobytes())
+    write_atomic(path, MAGIC + _HEADER.pack(seq_len, dataset.vocab_size, n) + records.tobytes())
 
 
 def read_encoded_dataset(path: str | Path) -> EncodedDataset:
@@ -122,7 +139,7 @@ def vocab_to_json(vocab: Vocabulary) -> str:
 
 
 def write_vocab_sidecar(path: str | Path, vocab: Vocabulary) -> None:
-    Path(path).write_text(vocab_to_json(vocab), encoding="utf-8")
+    write_atomic(path, vocab_to_json(vocab).encode("utf-8"))
 
 
 def read_vocab_sidecar(path: str | Path) -> Vocabulary:

@@ -6,6 +6,13 @@ paired. A model that aborts on non-finite loss is recorded as failed
 without stopping the others. All artifacts are content-deterministic
 (no timestamps), so identical configs produce byte-identical outputs;
 the manifest lists every written file with its SHA-256.
+
+``train_and_save`` is the one path that trains a model and writes its
+checkpoint and history: ``run_experiment`` calls it per model, and the
+``train`` subcommand calls it once. It creates the model directory before
+training, so an unusable output path fails fast. Every artifact is written
+through ``dataset_io.write_atomic`` (JSON through ``write_json``), so an
+interrupted run leaves each file whole or absent.
 """
 
 from __future__ import annotations
@@ -150,11 +157,38 @@ def make_output_dir(path: str | Path) -> Path:
     return out
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as sorted, indented JSON through ``write_atomic``."""
+    dataset_io.write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _evaluate_on(spec, params, dataset, indices, batch_size: int):
+def read_dataset_dir(path: str | Path) -> tuple[dataset_io.EncodedDataset, str]:
+    """The encoded dataset in a ``preprocess`` output directory and the
+    fingerprint of its vocabulary sidecar."""
+    data_dir = Path(path)
+    return (dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME),
+            dataset_io.vocab_fingerprint(data_dir / dataset_io.VOCAB_FILENAME))
+
+
+def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.EncodedDataset,
+                   fingerprint: str, model_dir: str | Path):
+    """Train zoo model ``name`` and write its checkpoint and history into
+    ``model_dir``; returns ``(spec, params, history)``.
+
+    The directory is created, or rejected with a ``DataError``, before
+    training starts, so an unusable output path costs no training time.
+    """
+    spec = zoo.build_spec(name, embedding_dim=config.embedding_dim,
+                          hidden_units=config.hidden_units,
+                          dense_hidden_units=config.dense_hidden_units)
+    model_dir = make_output_dir(model_dir)
+    params, history = train_model(spec, dataset, config.train, config.split)
+    save_checkpoint(params, spec, fingerprint, model_dir / CHECKPOINT_FILENAME)
+    dataset_io.write_atomic(model_dir / HISTORY_FILENAME, history_to_csv(history).encode())
+    return spec, params, history
+
+
+def evaluate_on(spec, params, dataset, indices, batch_size: int):
     """Confusion matrix and both-mode reports over the given indices."""
     idx = np.asarray(indices)
     labels = dataset.labels[idx].astype(np.int64)
@@ -170,35 +204,20 @@ def _evaluate_on(spec, params, dataset, indices, batch_size: int):
 def run_experiment(config: ExperimentConfig) -> dict:
     """Train, evaluate, and serialize every selected model; returns the
     manifest that was also written to the output directory."""
-    data_dir = Path(config.data_path)
     out_dir = make_output_dir(config.output_dir)
-    dataset = dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME)
-    fingerprint = dataset_io.vocab_fingerprint(data_dir / dataset_io.VOCAB_FILENAME)
+    dataset, fingerprint = read_dataset_dir(config.data_path)
     _, _, test_idx = split_dataset(len(dataset), config.split)
 
     def run_one(name: str) -> dict:
-        spec = zoo.build_spec(
-            name,
-            embedding_dim=config.embedding_dim,
-            hidden_units=config.hidden_units,
-            dense_hidden_units=config.dense_hidden_units,
-        )
-        model_dir = make_output_dir(out_dir / name)
         try:
-            params, history = train_model(spec, dataset, config.train, config.split)
+            spec, params, _ = train_and_save(name, config, dataset, fingerprint, out_dir / name)
         except NumericError as exc:
             return {"name": name, "status": "failed", "error": str(exc)}
-        cm, weighted, macro, baseline = _evaluate_on(
+        cm, weighted, macro, baseline = evaluate_on(
             spec, params, dataset, test_idx, config.train.batch_size
         )
-        save_checkpoint(params, spec, fingerprint, model_dir / CHECKPOINT_FILENAME)
-        (model_dir / HISTORY_FILENAME).write_text(
-            history_to_csv(history), encoding="utf-8"
-        )
-        (model_dir / METRICS_FILENAME).write_text(
-            _dump_json(metrics_to_dict(weighted, macro, cm, baseline)),
-            encoding="utf-8",
-        )
+        write_json(out_dir / name / METRICS_FILENAME,
+                   metrics_to_dict(weighted, macro, cm, baseline))
         return {
             "name": name,
             "status": "ok",
@@ -223,8 +242,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             [(o["name"], o["weighted"]) for o in succeeded]
             + [(o["name"], o["macro"]) for o in succeeded]
         )
-        (out_dir / RESULTS_TABLE_FILENAME).write_text(table_text, encoding="utf-8")
-        (out_dir / RESULTS_CSV_FILENAME).write_text(csv_text, encoding="utf-8")
+        dataset_io.write_atomic(out_dir / RESULTS_TABLE_FILENAME, table_text.encode("utf-8"))
+        dataset_io.write_atomic(out_dir / RESULTS_CSV_FILENAME, csv_text.encode("utf-8"))
         written += [RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME]
 
     manifest = {
@@ -249,5 +268,5 @@ def run_experiment(config: ExperimentConfig) -> dict:
             for rel in sorted(written)
         },
     }
-    (out_dir / MANIFEST_FILENAME).write_text(_dump_json(manifest), encoding="utf-8")
+    write_json(out_dir / MANIFEST_FILENAME, manifest)
     return manifest

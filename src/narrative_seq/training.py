@@ -216,15 +216,13 @@ def evaluate_model(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
 
 
 def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
-                split: SplitSpec, record_history: bool = True
-                ) -> tuple[ParamDict, TrainingHistory]:
+                split: SplitSpec) -> tuple[ParamDict, TrainingHistory]:
     """Train one architecture; returns final params and per-epoch history.
 
     Per epoch: shuffle the train indices with an epoch-derived seed, step
     through mini-batches (the last one may be short), backpropagate the
     batch-mean loss, clip, apply Adam, then evaluate train and validation
-    loss/accuracy. ``record_history=False`` skips the evaluations (parameter
-    updates are unaffected) and returns an empty history.
+    loss/accuracy.
     """
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -267,17 +265,16 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
             # long seq_len.
             del cache, grads
 
-        if record_history:
-            train_loss, train_acc = evaluate_model(spec, params, dataset, epoch_train)
-            val_loss, val_acc = evaluate_model(spec, params, dataset, epoch_val)
-            history.append(
-                EpochStats(
-                    train_loss=train_loss,
-                    train_accuracy=train_acc,
-                    val_loss=val_loss,
-                    val_accuracy=val_acc,
-                )
+        train_loss, train_acc = evaluate_model(spec, params, dataset, epoch_train)
+        val_loss, val_acc = evaluate_model(spec, params, dataset, epoch_val)
+        history.append(
+            EpochStats(
+                train_loss=train_loss,
+                train_accuracy=train_acc,
+                val_loss=val_loss,
+                val_accuracy=val_acc,
             )
+        )
 
     return params, history
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from narrative_seq import dataset_io
+from narrative_seq import dataset_io, harness
 from narrative_seq.checkpoint import save_checkpoint
 from narrative_seq.cli import main
 from narrative_seq.neural_layers import init_params
@@ -53,6 +53,18 @@ class TestExitCodes:
         weird = tmp_path / "corpus.dat"
         weird.write_text("[]", encoding="utf-8")
         assert run_cli("ingest", "--data", str(weird)) == 2
+
+    @pytest.mark.parametrize("name,body,command", [
+        ("corpus.json", b'[{"x": "\xff\xfe"}]', "ingest"),
+        ("corpus.csv", b"report_id,narrative\n1,\xff\xfe\n", "preprocess"),
+    ], ids=["json", "csv"])
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys, name, body, command):
+        corpus = tmp_path / name
+        corpus.write_bytes(body)
+        out = ["--out", str(tmp_path / "enc")] if command == "preprocess" else []
+        assert run_cli(command, "--data", str(corpus), *out) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(corpus) in err
 
 
 class TestIngest:
@@ -145,23 +157,25 @@ class TestPipelineFlow:
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["token", "label"])
+    @pytest.mark.parametrize("field", ["token", "label", "vocab"])
     def test_evaluate_rejects_out_of_range_dataset(self, tmp_path, encoded_dir, field):
         # A record whose token id lies outside the vocabulary (or whose label
         # is not a damage level) fails at the reader with exit 2, not deep in
-        # the forward pass with a traceback.
+        # the forward pass with a traceback. So does a checkpoint whose
+        # embedding has fewer rows than the dataset's vocabulary.
         data = tmp_path / "bad_enc"
         data.mkdir()
         shutil.copy(encoded_dir / dataset_io.VOCAB_FILENAME, data)
         dataset = dataset_io.read_encoded_dataset(encoded_dir / dataset_io.ENCODED_FILENAME)
         if field == "token":
             dataset.sequences[-1, 0] = dataset.vocab_size
-        else:
+        elif field == "label":
             dataset.labels[-1] = 4
         dataset_io.write_encoded_dataset(data / dataset_io.ENCODED_FILENAME, dataset)
         spec = build_spec("sRNN", embedding_dim=4, hidden_units=4, dense_hidden_units=4)
         model = tmp_path / "model.nsck"
-        save_checkpoint(init_params(spec, dataset.vocab_size, SeededRng(0)), spec,
+        rows = dataset.vocab_size // 4 if field == "vocab" else dataset.vocab_size
+        save_checkpoint(init_params(spec, rows, SeededRng(0)), spec,
                         dataset_io.vocab_fingerprint(data / dataset_io.VOCAB_FILENAME), model)
         proc = subprocess.run(
             [sys.executable, "-m", "narrative_seq", "evaluate", "--model-file", str(model),
@@ -278,6 +292,23 @@ def test_out_naming_a_file_is_data_error(tmp_path, corpus_file, encoded_dir, mod
     assert "data error" in proc.stderr and str(out) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert out.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_train_rejects_out_before_training(tmp_path, encoded_dir, monkeypatch, capsys, under):
+    # Stub every module's binding of train_model, however the CLI reaches it.
+    trained, real = [], harness.train_model
+    for name, module in list(sys.modules.items()):
+        if name.startswith("narrative_seq") and getattr(module, "train_model", None) is real:
+            monkeypatch.setattr(module, "train_model", lambda *args: trained.append(args))
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory", encoding="utf-8")
+    out = afile / "run" if under else afile
+    assert run_cli("train", "--data", str(encoded_dir), "--model", "sRNN",
+                   "--out", str(out)) == 2
+    assert trained == []
+    assert "data error" in capsys.readouterr().err
+    assert afile.read_text(encoding="utf-8") == "not a directory"
 
 
 def _history_epochs(out):

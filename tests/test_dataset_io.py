@@ -1,17 +1,28 @@
+import ast
+import stat
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import narrative_seq
+from narrative_seq import dataset_io
+from narrative_seq.checkpoint import save_checkpoint
 from narrative_seq.dataset_io import (
     EncodedDataset,
     read_encoded_dataset,
     read_vocab_sidecar,
     vocab_fingerprint,
     write_encoded_dataset,
+    write_atomic,
     write_vocab_sidecar,
 )
-from narrative_seq.errors import DataError
+from narrative_seq.errors import CheckpointError, DataError
+from narrative_seq.neural_layers import init_params
+from narrative_seq.tensor_core import SeededRng
 from narrative_seq.text_pipeline import build_vocabulary
+from narrative_seq.zoo import build_spec
 
 
 @pytest.fixture()
@@ -132,3 +143,86 @@ class TestVocabSidecar:
             read_vocab_sidecar(tmp_path / "nope.json")
         with pytest.raises(DataError):
             vocab_fingerprint(tmp_path / "nope.json")
+
+
+class TestWriteAtomic:
+    def test_writes_bytes_with_the_plain_file_mode(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_atomic(path, b"abc")
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(b"abc")
+        assert path.read_bytes() == b"abc"
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "plain.bin"]
+
+    @staticmethod
+    def _half_then_interrupt(self, data):
+        with open(self, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        raise KeyboardInterrupt
+
+    @staticmethod
+    def _refuse_replace(src, dst):
+        raise OSError("injected rename failure")
+
+    @pytest.mark.parametrize("fail", ["write", "replace"])
+    def test_failure_leaves_the_earlier_file_and_no_temp(self, tmp_path, monkeypatch, fail):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"earlier contents")
+        if fail == "write":
+            monkeypatch.setattr(Path, "write_bytes", self._half_then_interrupt)
+        else:
+            monkeypatch.setattr(dataset_io.os, "replace", self._refuse_replace)
+        with pytest.raises((KeyboardInterrupt, OSError)):
+            write_atomic(path, b"new contents, longer than before")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"earlier contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_failed_checkpoint_write_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        spec = build_spec("sRNN", embedding_dim=2, hidden_units=2, dense_hidden_units=2)
+        path = tmp_path / "model.nsck"
+        save_checkpoint(init_params(spec, 6, SeededRng(0)), spec, "a" * 64, path)
+        earlier = path.read_bytes()
+        monkeypatch.setattr(dataset_io.os, "replace", self._refuse_replace)
+        with pytest.raises(CheckpointError, match="injected"):
+            save_checkpoint(init_params(spec, 6, SeededRng(1)), spec, "a" * 64, path)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["model.nsck"]
+
+
+_WRITE_MODE_CHARS = set("wxa+")
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """``write_text``/``write_bytes``, or ``open``/``Path.open`` in a mode
+    that writes (a mode that is not a literal counts as writing)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode_at = 1 if isinstance(func, ast.Name) else 0  # open(path, mode) / path.open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[mode_at:mode_at + 1]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & _WRITE_MODE_CHARS
+               for m in modes)
+
+
+def test_write_atomic_is_the_only_file_writer():
+    # Every artifact byte goes through dataset_io.write_atomic, so how an
+    # artifact is written (temp sibling, then rename) is decided once.
+    inside, outside = [], []
+    for source in sorted(Path(narrative_seq.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        allowed = set()
+        if source.name == "dataset_io.py":
+            writer = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "write_atomic")
+            allowed = {id(n) for n in ast.walk(writer)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _writes_a_file(node):
+                (inside if id(node) in allowed else outside).append(
+                    f"{source.name}:{node.lineno}")
+    assert inside, "the scan no longer sees write_atomic's own write"
+    assert outside == [], f"files written outside dataset_io.write_atomic: {outside}"

@@ -152,10 +152,10 @@ class TestRunExperiment:
     def test_failure_isolation(self, encoded_fixture_dir, tmp_path, monkeypatch):
         real_train = harness.train_model
 
-        def flaky(spec, dataset, config, split, record_history=True):
+        def flaky(spec, dataset, config, split):
             if spec.name == "GRU":
                 raise NumericError("non-finite loss at epoch 1, batch 1 (injected)")
-            return real_train(spec, dataset, config, split, record_history)
+            return real_train(spec, dataset, config, split)
 
         monkeypatch.setattr(harness, "train_model", flaky)
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from narrative_seq import training
 from narrative_seq.corpus_ingest import DamageLabel
 from narrative_seq.dataset_io import EncodedDataset
 from narrative_seq.errors import DataError, DimensionError, NumericError
@@ -12,6 +13,7 @@ from narrative_seq.synthetic import separable_dataset
 from narrative_seq.text_pipeline import one_hot
 from narrative_seq.training import (
     AdamState,
+    EpochStats,
     SplitSpec,
     TrainConfig,
     adam_update,
@@ -190,14 +192,22 @@ class TestTrainModel:
         for name in params_a:
             npt.assert_array_equal(params_a[name], params_b[name])
 
-    def test_validation_never_trained_on(self, tiny_dataset):
+    def test_validation_never_trained_on(self, tiny_dataset, monkeypatch):
+        # The epoch-end evaluations only read the parameters: with them
+        # stubbed out, training ends at the same parameters.
         spec = build_spec("sRNN", **self.SPEC)
         config, split = TrainConfig(epochs=2, seed=6), SplitSpec(seed=6)
         with_eval, _ = train_model(spec, tiny_dataset, config, split)
-        without_eval, empty = train_model(
-            spec, tiny_dataset, config, split, record_history=False
-        )
-        assert empty == []
+        scored = []
+
+        def no_evaluation(spec, params, dataset, indices, batch_size=64):
+            scored.append(len(indices))
+            return 0.0, 0.0
+
+        monkeypatch.setattr(training, "evaluate_model", no_evaluation)
+        without_eval, history = train_model(spec, tiny_dataset, config, split)
+        assert len(scored) == 4 and all(scored)
+        assert history == [EpochStats(0.0, 0.0, 0.0, 0.0)] * 2
         for name in with_eval:
             npt.assert_array_equal(with_eval[name], without_eval[name])
 
@@ -250,8 +260,7 @@ class TestTrainModel:
             spec = build_spec("LSTM", **self.SPEC)
             tracemalloc.start()
             try:
-                train_model(spec, dataset, TrainConfig(epochs=1, batch_size=8), SplitSpec(),
-                            record_history=False)
+                train_model(spec, dataset, TrainConfig(epochs=1, batch_size=8), SplitSpec())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -263,8 +272,6 @@ class TestTrainModel:
 
 
 def test_history_csv_format():
-    from narrative_seq.training import EpochStats
-
     history = [
         EpochStats(1.25, 0.5, 1.5, 0.25),
         EpochStats(0.75, 0.875, 1.0, 0.5),
