@@ -142,28 +142,44 @@ def write_vocab_sidecar(path: str | Path, vocab: Vocabulary) -> None:
     write_atomic(path, vocab_to_json(vocab).encode("utf-8"))
 
 
-def read_vocab_sidecar(path: str | Path) -> Vocabulary:
+# Exact JSON value types: a bool index or frequency is not an int here.
+_SIDECAR_TYPES = {"token": str, "index": int, "frequency": int}
+
+
+def read_vocab_sidecar(path: str | Path, data: bytes | None = None) -> Vocabulary:
+    """Load a vocabulary sidecar. ``data``, when given, is the file's bytes,
+    already read by a caller that also fingerprints them.
+
+    Anything but a JSON list of ``{token, index, frequency}`` objects with
+    indices ``0..n-1`` in order and ``<pad>`` and ``<oov>`` in rows 0 and 1
+    raises ``DataError``.
+    """
     path = Path(path)
     try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        entries = json.loads(path.read_bytes() if data is None else data)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
         raise DataError(f"cannot read vocabulary sidecar {path}: {exc}") from exc
-    by_index = sorted(entries, key=lambda e: e["index"])
-    tokens = []
-    frequencies = {}
-    for entry in by_index[2:]:  # skip the reserved <pad>/<oov> rows
-        tokens.append(entry["token"])
-        frequencies[entry["token"]] = entry["frequency"]
-    return Vocabulary(
-        tokens=tuple(tokens), frequencies=frequencies, max_size=len(entries)
-    )
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and {k: type(v) for k, v in e.items()} == _SIDECAR_TYPES
+            for e in entries)):
+        raise DataError(f"{path}: a vocabulary sidecar is a JSON list of "
+                        f"{{token, index, frequency}} objects")
+    if [e["index"] for e in entries] != list(range(len(entries))):
+        raise DataError(f"{path}: entry indices must run 0..{len(entries) - 1} in order")
+    if [e["token"] for e in entries[:2]] != ["<pad>", "<oov>"]:
+        raise DataError(f"{path}: rows 0 and 1 must be <pad> and <oov>")
+    rest = entries[2:]
+    return Vocabulary(tokens=tuple(e["token"] for e in rest),
+                      frequencies={e["token"]: e["frequency"] for e in rest},
+                      max_size=len(entries))
 
 
-def vocab_fingerprint(path: str | Path) -> str:
-    """SHA-256 of the sidecar file bytes; checkpoints refuse to load against
-    a different fingerprint."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot fingerprint vocabulary {path}: {exc}") from exc
+def vocab_fingerprint(path: str | Path, data: bytes | None = None) -> str:
+    """SHA-256 of the sidecar file bytes (``data``, when given); checkpoints
+    refuse to load against a different fingerprint."""
+    if data is None:
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise DataError(f"cannot fingerprint vocabulary {path}: {exc}") from exc
     return hashlib.sha256(data).hexdigest()

@@ -17,6 +17,7 @@ interrupted run leaves each file whole or absent.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
@@ -164,10 +165,25 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 def read_dataset_dir(path: str | Path) -> tuple[dataset_io.EncodedDataset, str]:
     """The encoded dataset in a ``preprocess`` output directory and the
-    fingerprint of its vocabulary sidecar."""
+    fingerprint of its vocabulary sidecar.
+
+    The sidecar is read once: its bytes are validated by
+    ``read_vocab_sidecar`` and hashed by ``vocab_fingerprint``. A sidecar
+    whose size differs from the ``.nseq`` header's vocabulary size belongs
+    to another vocabulary and raises ``DataError``.
+    """
     data_dir = Path(path)
-    return (dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME),
-            dataset_io.vocab_fingerprint(data_dir / dataset_io.VOCAB_FILENAME))
+    dataset = dataset_io.read_encoded_dataset(data_dir / dataset_io.ENCODED_FILENAME)
+    vocab_path = data_dir / dataset_io.VOCAB_FILENAME
+    try:
+        raw = vocab_path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read vocabulary sidecar {vocab_path}: {exc}") from exc
+    vocab = dataset_io.read_vocab_sidecar(vocab_path, raw)
+    if vocab.size != dataset.vocab_size:
+        raise DataError(f"{vocab_path} holds {vocab.size} entries, but the encoded "
+                        f"dataset's vocabulary size is {dataset.vocab_size}")
+    return dataset, dataset_io.vocab_fingerprint(vocab_path, raw)
 
 
 def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.EncodedDataset,
@@ -176,15 +192,24 @@ def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.Enco
     ``model_dir``; returns ``(spec, params, history)``.
 
     The directory is created, or rejected with a ``DataError``, before
-    training starts, so an unusable output path costs no training time.
+    training starts, so an unusable output path costs no training time. If
+    training or writing fails, a directory this call created is removed
+    again when it is still empty.
     """
     spec = zoo.build_spec(name, embedding_dim=config.embedding_dim,
                           hidden_units=config.hidden_units,
                           dense_hidden_units=config.dense_hidden_units)
+    created = not Path(model_dir).exists()
     model_dir = make_output_dir(model_dir)
-    params, history = train_model(spec, dataset, config.train, config.split)
-    save_checkpoint(params, spec, fingerprint, model_dir / CHECKPOINT_FILENAME)
-    dataset_io.write_atomic(model_dir / HISTORY_FILENAME, history_to_csv(history).encode())
+    try:
+        params, history = train_model(spec, dataset, config.train, config.split)
+        save_checkpoint(params, spec, fingerprint, model_dir / CHECKPOINT_FILENAME)
+        dataset_io.write_atomic(model_dir / HISTORY_FILENAME, history_to_csv(history).encode())
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):  # rmdir removes only an empty directory
+                model_dir.rmdir()
+        raise
     return spec, params, history
 
 

@@ -1,5 +1,6 @@
-"""Embedding, recurrent cells (simple/LSTM/GRU), bidirectional wrapping,
-dense head, and exact backpropagation through time.
+"""Embedding, recurrent cells (simple/LSTM/GRU), the layer runner that
+handles bidirectional layers, dense head, and exact backpropagation through
+time.
 
 Architecture: token ids -> embedding lookup -> recurrent stack (each layer
 feeds the next; only the last layer collapses to its final state) -> one
@@ -33,16 +34,26 @@ bias and input gradients are one GEMM (or sum) per chunk over its stacked
 steps, so they are summed per chunk and then across chunks; that order
 fixes the bits of trained parameters, not their values beyond rounding.
 
-The kernel runs in one of two modes, picked by whether the caller needs a
-cache. ``model_forward`` (training, followed by ``model_backward``) keeps
-the full BPTT cache: every step's states, gates and LSTM cell states.
-``predict_proba`` (evaluation and scoring), ``recurrent_forward``,
-``bidirectional_forward`` and the ``*_step`` functions run forward only:
-gates, ``act(c)`` and the cell state live in one scratch row each, and a
-layer keeps its state sequence only when the next layer reads it. Both
-modes run the same per-step arithmetic, so their outputs are bit-identical,
-and a forward-only run returns outputs, never a cache ``model_backward``
-could take.
+One layer runner handles directions. ``_layer_forward`` runs every
+direction of a layer: it hands the backward direction the reversed inputs
+and mask, flips that direction's states back to input order, and joins the
+directions on the feature axis. ``_layer_backward``, its adjoint, splits
+and reverses the output gradient and sums the directions' input gradients.
+``model_forward`` and ``predict_proba`` (through ``_forward``),
+``model_backward``, ``recurrent_forward`` and ``bidirectional_forward`` all
+go through the runner; the ``*_step`` functions reach the kernel through
+``_step``. Nothing else calls the kernel.
+
+The kernel, ``_direction_forward``, takes two flags. With ``cached``
+(``model_forward``: training, followed by ``model_backward``) it keeps the
+full BPTT cache: every step's states, gates and LSTM cell states. Without
+it (``predict_proba`` for evaluation and scoring, the sequence functions and
+the step functions) gates, ``act(c)`` and the cell state live in one
+scratch row each, and ``sequence`` says whether the state sequence is kept,
+which a layer needs only when the next layer reads it. Every mode runs the
+same per-step arithmetic, so their outputs are bit-identical, and a
+forward-only run returns outputs, never a cache ``model_backward`` could
+take.
 """
 
 from __future__ import annotations
@@ -312,8 +323,8 @@ class DirectionCache:
     """Everything the backward pass needs for one direction of one layer.
 
     Arrays are time-major, so each step reads and writes one contiguous
-    block, and in this direction's processing order (the bidirectional
-    wrapper reverses inputs before calling in).
+    block, and in this direction's processing order (``_layer_forward``
+    reverses the backward direction's inputs before calling in).
     """
 
     kind: CellKind
@@ -343,24 +354,24 @@ def _step_rows(n_rows: int, row_shape: tuple[int, ...], keep: bool) -> Tensor:
 def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
                        activation: str, mask: Tensor | None,
                        h0: Tensor | None = None, c0: Tensor | None = None, *,
-                       keep: str) -> DirectionCache | tuple[Tensor, Tensor | None]:
+                       cached: bool, sequence: bool
+                       ) -> tuple[Tensor, Tensor | None, DirectionCache | None]:
     """Run one cell over ``x`` [L, B, in] from ``h0``/``c0`` (zeros by default).
 
     ``activation`` is the cell's own: the simple cell's, or the LSTM/GRU
-    candidate and state activation.
+    candidate and state activation. Only ``_layer_forward`` and ``_step``
+    call this; ``x`` and ``mask`` arrive in this direction's processing
+    order.
 
-    ``keep`` names what the caller needs, and so what is stored:
-
-    * ``"cache"``: every step's states and gates; returns the
-      ``DirectionCache`` that ``_direction_backward`` consumes.
-    * ``"sequence"``: the states only; returns ``(h, c)`` with ``h`` the
-      per-step states [L, B, H] and ``c`` the LSTM's final cell state [B, H]
-      (None for the other kinds).
-    * ``"final"``: as ``"sequence"``, but ``h`` is the final state [B, H].
-
-    Without the cache, gates, ``act(c)`` and the cell state live in one
-    scratch row each (see ``_step_rows``). The arithmetic is the same in
-    every mode, so the states are bit-identical.
+    Returns ``(h, c_last, cache)``. ``h`` is every step's state [L, B, H]
+    with ``sequence``, else the final state [B, H]; ``c_last`` is the LSTM's
+    final cell state [B, H] (None for the other kinds). With ``cached``,
+    ``cache`` is the ``DirectionCache`` that ``_direction_backward``
+    consumes: every step's states and gates. Without it ``cache`` is None,
+    gates, ``act(c)`` and the cell state live in one scratch row each (see
+    ``_step_rows``), and the state sequence is kept only with ``sequence``.
+    The arithmetic is the same in every mode, so the states are
+    bit-identical.
     """
     L, B, n_in = x.shape
     H = p[f"b{FUSED_GATES[kind][0]}"].shape[0] if h0 is None else h0.shape[-1]
@@ -368,8 +379,7 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
     act, _ = _ACTIVATIONS[activation]
     n_sig = _SIGMOID_GATES[kind] * H
     cols = _gate_columns(kind, H)
-    cached = keep == "cache"
-    h = _step_rows(L + 1, (B, H), keep != "final")
+    h = _step_rows(L + 1, (B, H), cached or sequence)
     h[0] = 0.0 if h0 is None else h0
     c = ac = gates = None
     if kind is CellKind.LSTM:
@@ -411,9 +421,8 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
                 h[t + 1] = m * new_h + (1.0 - m) * h_prev
                 if c is not None:
                     c[t + 1] = m * new_c + (1.0 - m) * c[t]
-    if cached:
-        return DirectionCache(kind=kind, x=x, h=h, gates=gates, c=c, ac=ac, mask=mask)
-    return (h[1:] if keep == "sequence" else h[-1]), (None if c is None else c[-1])
+    cache = DirectionCache(kind, x, h, gates, c, ac, mask) if cached else None
+    return (h[1:] if sequence else h[-1]), (None if c is None else c[-1]), cache
 
 
 def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Tensor],
@@ -521,64 +530,117 @@ def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Te
     return d_x, grads
 
 
-def _as_batch(v: Tensor) -> tuple[Tensor, bool]:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        return v[None, :], True
-    return v, False
+def _step(kind: CellKind, params: Mapping[str, Tensor], activation: str,
+          x_t: Tensor, h_prev: Tensor, c_prev: Tensor | None = None):
+    """One step of ``kind`` from ``h_prev`` (and the LSTM's ``c_prev``).
+
+    A 1-D input is a one-row batch whose result comes back 1-D; a 2-D input
+    is a batch [B, d] and passes as is.
+    """
+    x, h, c = (None if v is None else np.asarray(v, dtype=np.float64)
+               for v in (x_t, h_prev, c_prev))
+    squeeze = x.ndim == 1
+    x, h, c = (v[None, :] if v is not None and v.ndim == 1 else v for v in (x, h, c))
+    if c is not None and c.shape != h.shape:
+        raise DimensionError(f"cell state {c.shape} does not match h_prev {h.shape}")
+    h, c, _ = _direction_forward(x[None], kind, params, activation, None, h, c,
+                                 cached=False, sequence=False)
+    if squeeze:
+        h, c = h[0], (None if c is None else c[0])
+    return h if kind is not CellKind.LSTM else (h, c)
 
 
 def srnn_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
               activation: str = "relu") -> Tensor:
     """One simple-cell step: act(W x + U h_prev + b); ReLU by default."""
-    x, squeeze = _as_batch(x_t)
-    h_prev, _ = _as_batch(h_prev)
-    h, _ = _direction_forward(x[None], CellKind.SRNN, params, activation, None, h_prev,
-                              keep="final")
-    return h[0] if squeeze else h
+    return _step(CellKind.SRNN, params, activation, x_t, h_prev)
 
 
 def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
               params: Mapping[str, Tensor],
               cell_activation: str = "tanh") -> tuple[Tensor, Tensor]:
     """One LSTM step; gates are logistic sigmoid regardless of configuration."""
-    x, squeeze = _as_batch(x_t)
-    h_prev, _ = _as_batch(h_prev)
-    c_prev, _ = _as_batch(c_prev)
-    if c_prev.shape != h_prev.shape:
-        raise DimensionError(f"cell state {c_prev.shape} does not match h_prev {h_prev.shape}")
-    h, c = _direction_forward(x[None], CellKind.LSTM, params, cell_activation, None,
-                              h_prev, c_prev, keep="final")
-    return (h[0], c[0]) if squeeze else (h, c)
+    return _step(CellKind.LSTM, params, cell_activation, x_t, h_prev, c_prev)
 
 
 def gru_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
              cell_activation: str = "tanh") -> Tensor:
     """One GRU step with the reset gate applied to h_prev inside U_h."""
-    x, squeeze = _as_batch(x_t)
-    h_prev, _ = _as_batch(h_prev)
-    h, _ = _direction_forward(x[None], CellKind.GRU, params, cell_activation, None, h_prev,
-                              keep="final")
-    return h[0] if squeeze else h
+    return _step(CellKind.GRU, params, cell_activation, x_t, h_prev)
 
 
 # ---------------------------------------------------------------------------
-# Layer-level forward/backward (public sequence ops)
+# Layer runner: every direction of one layer, forward and backward
 # ---------------------------------------------------------------------------
 
-def _bidirectional_outputs(fwd: Tensor, bwd: Tensor, returns_sequence: bool) -> Tensor:
-    """Time-major [L, B, 2H] per-step outputs, or [B, 2H] final states.
+def _layer_forward(x: Tensor, layer: RecurrentLayerSpec, activation: str,
+                   dir_params: list[Mapping[str, Tensor]], mask: Tensor | None,
+                   cached: bool) -> tuple[Tensor, list[DirectionCache | None]]:
+    """Run every direction of ``layer`` over time-major ``x`` [L, B, in].
 
-    ``fwd`` and ``bwd`` are each direction's states in its own processing
-    order: [L, B, H] per step, or [B, H] final.
+    Returns the layer's output, per-step [L, B, width] when it returns
+    sequences, else final states [B, width], and one ``_direction_forward``
+    cache per direction (None without ``cached``). ``dir_params`` holds one
+    parameter set per direction, forward first. The backward direction runs
+    on the reversed inputs and mask; its per-step states are flipped back
+    to input order and joined after the forward direction's on the feature
+    axis. Its final state is the one after it has read the first token.
     """
-    if returns_sequence:
-        return np.concatenate([fwd, bwd[::-1]], axis=2)
-    return np.concatenate([fwd, bwd], axis=1)
+    runs = [(x, mask)]
+    if layer.bidirectional:
+        runs.append((x[::-1], None if mask is None else mask[::-1]))
+    outs, caches = [], []
+    for (x_dir, m_dir), p in zip(runs, dir_params):
+        h, _, cache = _direction_forward(x_dir, layer.kind, p, activation, m_dir,
+                                         cached=cached, sequence=layer.returns_sequence)
+        outs.append(h)
+        caches.append(cache)
+    if not layer.bidirectional:
+        return outs[0], caches
+    fwd, bwd = outs
+    return np.concatenate([fwd, bwd[::-1] if layer.returns_sequence else bwd], axis=-1), caches
 
 
-def _output_mode(layer: RecurrentLayerSpec) -> str:
-    return "sequence" if layer.returns_sequence else "final"
+def _layer_backward(d_out: Tensor, layer: RecurrentLayerSpec, activation: str,
+                    dir_params: list[Mapping[str, Tensor]],
+                    caches: list[DirectionCache]) -> tuple[Tensor, list[ParamDict]]:
+    """Adjoint of ``_layer_forward``: the gradient of its time-major input
+    [L, B, in] and one gradient dict per direction, forward first."""
+    d_dirs = [d_out]
+    if layer.bidirectional:
+        H = layer.hidden_units
+        d_bwd = d_out[..., H:]
+        d_dirs = [d_out[..., :H], d_bwd[::-1] if layer.returns_sequence else d_bwd]
+    runs = [_direction_backward(d_dir, cache, p, activation)
+            for d_dir, cache, p in zip(d_dirs, caches, dir_params)]
+    d_x = runs[0][0] if len(runs) == 1 else runs[0][0] + runs[1][0][::-1]
+    return d_x, [grads for _, grads in runs]
+
+
+def _layer_args(spec: ModelSpec, params: Mapping[str, Tensor], index: int
+                ) -> tuple[str, list[str], list[ParamDict]]:
+    """Layer ``index``'s cell activation, per-direction parameter prefixes
+    and per-direction parameter sets."""
+    layer = spec.recurrent_stack[index]
+    prefixes = [_prefix(index, direction) for direction in _directions(layer)]
+    return (_kind_activation(layer.kind, spec.hidden_activation, spec.cell_activation),
+            prefixes, [_sub_params(params, prefix) for prefix in prefixes])
+
+
+def _sequence_forward(inputs: Tensor, layer: RecurrentLayerSpec,
+                      dir_params: list[Mapping[str, Tensor]],
+                      hidden_activation: str, cell_activation: str) -> Tensor:
+    """``_layer_forward`` without a cache on [L, d] or [B, L, d] inputs;
+    per-step outputs come back in the same layout."""
+    arr = np.asarray(inputs, dtype=np.float64)
+    if arr.ndim not in (2, 3):
+        raise DimensionError(f"expected [L, d] or [B, L, d] inputs, got {arr.shape}")
+    x = arr[:, None] if arr.ndim == 2 else arr.transpose(1, 0, 2)
+    activation = _kind_activation(layer.kind, hidden_activation, cell_activation)
+    out, _ = _layer_forward(x, layer, activation, dir_params, None, cached=False)
+    if layer.returns_sequence:
+        out = out.transpose(1, 0, 2)
+    return out[0] if arr.ndim == 2 else out
 
 
 def recurrent_forward(inputs: Tensor, layer: RecurrentLayerSpec,
@@ -592,13 +654,7 @@ def recurrent_forward(inputs: Tensor, layer: RecurrentLayerSpec,
     """
     if layer.bidirectional:
         raise DimensionError("use bidirectional_forward for bidirectional layers")
-    x, squeeze = _as_seq_batch(inputs)
-    activation = _kind_activation(layer.kind, hidden_activation, cell_activation)
-    result, _ = _direction_forward(x, layer.kind, params, activation, mask=None,
-                                   keep=_output_mode(layer))
-    if layer.returns_sequence:
-        result = result.transpose(1, 0, 2)
-    return result[0] if squeeze else result
+    return _sequence_forward(inputs, layer, [params], hidden_activation, cell_activation)
 
 
 def bidirectional_forward(inputs: Tensor, layer: RecurrentLayerSpec,
@@ -613,26 +669,8 @@ def bidirectional_forward(inputs: Tensor, layer: RecurrentLayerSpec,
     """
     if not layer.bidirectional:
         raise DimensionError("layer.bidirectional must be true")
-    x, squeeze = _as_seq_batch(inputs)
-    activation = _kind_activation(layer.kind, hidden_activation, cell_activation)
-    keep = _output_mode(layer)
-    fwd, _ = _direction_forward(x, layer.kind, params_fwd, activation, mask=None, keep=keep)
-    bwd, _ = _direction_forward(x[::-1], layer.kind, params_bwd, activation, mask=None,
-                                keep=keep)
-    result = _bidirectional_outputs(fwd, bwd, layer.returns_sequence)
-    if layer.returns_sequence:
-        result = result.transpose(1, 0, 2)
-    return result[0] if squeeze else result
-
-
-def _as_seq_batch(inputs: Tensor) -> tuple[Tensor, bool]:
-    """Time-major [L, B, d] view of [L, d] or [B, L, d] inputs."""
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim == 2:
-        return arr[:, None], True
-    if arr.ndim == 3:
-        return arr.transpose(1, 0, 2), False
-    raise DimensionError(f"expected [L, d] or [B, L, d] inputs, got {arr.shape}")
+    return _sequence_forward(inputs, layer, [params_fwd, params_bwd], hidden_activation,
+                             cell_activation)
 
 
 # ---------------------------------------------------------------------------
@@ -640,23 +678,15 @@ def _as_seq_batch(inputs: Tensor) -> tuple[Tensor, bool]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LayerState:
-    spec: RecurrentLayerSpec
-    fwd: DirectionCache
-    bwd: DirectionCache | None = None
-
-
-@dataclass
 class ForwardCache:
     """Forward intermediates, sufficient to run backward without recompute."""
 
     ids: Tensor                       # [B, L]
-    layers: list[LayerState] = field(default_factory=list)
+    # Per layer, one DirectionCache per direction, forward first.
+    layers: list[list[DirectionCache]] = field(default_factory=list)
     features: Tensor | None = None    # [B, feature_width]
     hidden: Tensor | None = None      # [B, dense_hidden], post-activation
     probs: Tensor | None = None       # [B, num_classes]
-    mask: Tensor | None = None        # [L, B, 1], 1.0 at real tokens
-    squeezed: bool = False
 
 
 def embedding_forward(seq: Tensor, embedding: Tensor) -> Tensor:
@@ -699,50 +729,24 @@ def _forward(seq: Tensor, spec: ModelSpec, params: Mapping[str, Tensor],
     if squeezed:
         ids = ids[None, :]
     mask = (ids.T != 0).astype(np.float64)[:, :, None] if spec.mask_padding else None
-    cache = ForwardCache(ids=ids, mask=mask, squeezed=squeezed) if keep_cache else None
+    cache = ForwardCache(ids=ids) if keep_cache else None
 
     x = embedding_forward(ids.T, params["embedding"])
     for i, layer in enumerate(spec.recurrent_stack):
-        x = _layer_forward(x, i, layer, spec, params, mask, cache)
+        activation, _, dir_params = _layer_args(spec, params, i)
+        x, caches = _layer_forward(x, layer, activation, dir_params, mask, keep_cache)
+        if cache is not None:
+            cache.layers.append(caches)
 
     hidden = None
     if spec.use_dense_hidden:
         act, _ = _ACTIVATIONS[spec.hidden_activation]
         hidden = act(matmul(x, params["dense_hidden.W"]) + params["dense_hidden.b"])
-        logits = matmul(hidden, params["output.W"]) + params["output.b"]
-    else:
-        logits = matmul(x, params["output.W"]) + params["output.b"]
+    logits = matmul(x if hidden is None else hidden, params["output.W"]) + params["output.b"]
     probs = softmax(logits, axis=-1)
     if cache is not None:
         cache.features, cache.hidden, cache.probs = x, hidden, probs
     return (probs[0] if squeezed else probs), cache
-
-
-def _layer_forward(x: Tensor, index: int, layer: RecurrentLayerSpec,
-                   spec: ModelSpec, params: Mapping[str, Tensor],
-                   mask: Tensor | None, cache: ForwardCache | None) -> Tensor:
-    """Time-major layer outputs: [L, B, width] or final states [B, width].
-
-    With a ``cache`` the layer's direction caches are appended to it;
-    without one the directions run forward only.
-    """
-    activation = _kind_activation(layer.kind, spec.hidden_activation, spec.cell_activation)
-    directions = [(_prefix(index, ""), x, mask)]
-    if layer.bidirectional:
-        directions = [(_prefix(index, "fwd"), x, mask),
-                      (_prefix(index, "bwd"), x[::-1], None if mask is None else mask[::-1])]
-    keep = _output_mode(layer) if cache is None else "cache"
-    runs = [_direction_forward(x_dir, layer.kind, _sub_params(params, prefix), activation,
-                               m_dir, keep=keep)
-            for prefix, x_dir, m_dir in directions]
-    if cache is None:
-        outs = [h for h, _ in runs]
-    else:
-        cache.layers.append(LayerState(layer, *runs))
-        outs = [run.h[1:] if layer.returns_sequence else run.h[-1] for run in runs]
-    if layer.bidirectional:
-        return _bidirectional_outputs(*outs, layer.returns_sequence)
-    return outs[0]
 
 
 def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
@@ -781,7 +785,12 @@ def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
 
     d_next: Tensor = d_feat  # gradient flowing into the layer below
     for i in range(len(spec.recurrent_stack) - 1, -1, -1):
-        d_next = _layer_backward(d_next, i, cache.layers[i], spec, params, grads)
+        activation, prefixes, dir_params = _layer_args(spec, params, i)
+        d_next, dir_grads = _layer_backward(d_next, spec.recurrent_stack[i], activation,
+                                            dir_params, cache.layers[i])
+        for prefix, g in zip(prefixes, dir_grads):
+            for name, value in g.items():
+                grads[prefix + name] += value
 
     # Batch-major rows, so repeated ids accumulate in the same order as the
     # records' own token order.
@@ -789,31 +798,6 @@ def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
     np.add.at(grads["embedding"], ids,
               d_next.transpose(1, 0, 2).reshape(-1, spec.embedding_dim))
     return grads
-
-
-def _layer_backward(d_out: Tensor, index: int, state: LayerState,
-                    spec: ModelSpec, params: Mapping[str, Tensor],
-                    grads: ParamDict) -> Tensor:
-    """Gradient of the layer's time-major input, [L, B, in]."""
-    layer = state.spec
-    H = layer.hidden_units
-    activation = _kind_activation(layer.kind, spec.hidden_activation, spec.cell_activation)
-    if layer.bidirectional:
-        d_bwd = d_out[..., H:][::-1] if layer.returns_sequence else d_out[..., H:]
-        directions = [("fwd", state.fwd, d_out[..., :H]), ("bwd", state.bwd, d_bwd)]
-    else:
-        directions = [("", state.fwd, d_out)]
-    d_inputs = []
-    for direction, dir_cache, d_dir in directions:
-        prefix = _prefix(index, direction)
-        d_in, g = _direction_backward(d_dir, dir_cache, _sub_params(params, prefix),
-                                      activation)
-        for name, value in g.items():
-            grads[prefix + name] += value
-        d_inputs.append(d_in)
-    if layer.bidirectional:
-        return d_inputs[0] + d_inputs[1][::-1]
-    return d_inputs[0]
 
 
 def predict_class(probs: Tensor) -> DamageLabel:

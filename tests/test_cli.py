@@ -101,6 +101,24 @@ def encoded_dir(tmp_path_factory, corpus_file):
     return out
 
 
+def _drop_frequency(entries):
+    del entries[3]["frequency"]
+    return entries
+
+
+def _skip_index(entries):
+    for entry in entries[3:]:
+        entry["index"] += 1
+    return entries
+
+
+_SIDECAR_MANGLES = {
+    "sidecar-not-a-list": lambda entries: {"entries": entries},
+    "sidecar-missing-key": _drop_frequency,
+    "sidecar-index-gap": _skip_index,
+}
+
+
 class TestPipelineFlow:
     def test_preprocess_artifacts(self, encoded_dir):
         assert (encoded_dir / "encoded.nseq").exists()
@@ -157,15 +175,20 @@ class TestPipelineFlow:
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["token", "label", "vocab"])
+    @pytest.mark.parametrize("field", ["token", "label", "vocab", *_SIDECAR_MANGLES])
     def test_evaluate_rejects_out_of_range_dataset(self, tmp_path, encoded_dir, field):
         # A record whose token id lies outside the vocabulary (or whose label
         # is not a damage level) fails at the reader with exit 2, not deep in
         # the forward pass with a traceback. So does a checkpoint whose
-        # embedding has fewer rows than the dataset's vocabulary.
+        # embedding has fewer rows than the dataset's vocabulary, and a
+        # malformed vocab.json that the checkpoint is pinned to.
         data = tmp_path / "bad_enc"
         data.mkdir()
-        shutil.copy(encoded_dir / dataset_io.VOCAB_FILENAME, data)
+        sidecar = data / dataset_io.VOCAB_FILENAME
+        shutil.copy(encoded_dir / dataset_io.VOCAB_FILENAME, sidecar)
+        if field in _SIDECAR_MANGLES:
+            entries = json.loads(sidecar.read_text(encoding="utf-8"))
+            sidecar.write_text(json.dumps(_SIDECAR_MANGLES[field](entries)), encoding="utf-8")
         dataset = dataset_io.read_encoded_dataset(encoded_dir / dataset_io.ENCODED_FILENAME)
         if field == "token":
             dataset.sequences[-1, 0] = dataset.vocab_size
@@ -309,6 +332,25 @@ def test_train_rejects_out_before_training(tmp_path, encoded_dir, monkeypatch, c
     assert trained == []
     assert "data error" in capsys.readouterr().err
     assert afile.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_train_rejects_sidecar_of_another_vocabulary(tmp_path, corpus_file, monkeypatch,
+                                                     capsys):
+    # The sidecar of a 50-entry vocabulary next to a larger dataset: the
+    # fingerprint matches the bytes, but the sizes do not.
+    small, large = tmp_path / "enc50", tmp_path / "enc400"
+    for out, size in ((small, "50"), (large, "400")):
+        assert run_cli("preprocess", "--data", str(corpus_file), "--out", str(out),
+                       "--seq-len", "16", "--vocab-size", size) == 0
+    shutil.copy(small / dataset_io.VOCAB_FILENAME, large / dataset_io.VOCAB_FILENAME)
+    trained = []
+    monkeypatch.setattr(harness, "train_model", lambda *args: trained.append(args))
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(large), "--model", "sRNN",
+                   "--out", str(tmp_path / "model")) == 2
+    assert trained == [] and not (tmp_path / "model").exists()
+    err = capsys.readouterr().err
+    assert "data error" in err and "50 entries" in err
 
 
 def _history_epochs(out):

@@ -138,6 +138,26 @@ class TestVocabSidecar:
         by_index = {e["index"]: e["token"] for e in entries}
         assert by_index[0] == "<pad>" and by_index[1] == "<oov>"
 
+    @pytest.mark.parametrize("entries,match", [
+        ({"token": "<pad>"}, "JSON list"),
+        ([{"token": "<pad>", "index": 0}], "JSON list"),
+        ([{"token": "<pad>", "index": "0", "frequency": 0}], "JSON list"),
+        ([{"token": "<pad>", "index": 0, "frequency": 0},
+          {"token": "<oov>", "index": 2, "frequency": 0}], "indices"),
+        ([{"token": "<oov>", "index": 0, "frequency": 0},
+          {"token": "<pad>", "index": 1, "frequency": 0}], "<pad> and <oov>"),
+        ([], "<pad> and <oov>"),
+    ], ids=["object", "missing-key", "string-index", "index-gap", "reserved-swapped", "empty"])
+    def test_malformed_sidecar_is_data_error(self, tmp_path, entries, match):
+        import json
+
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(DataError, match=match):
+            read_vocab_sidecar(path)
+        with pytest.raises(DataError, match=match):
+            read_vocab_sidecar(tmp_path / "elsewhere.json", path.read_bytes())
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_vocab_sidecar(tmp_path / "nope.json")

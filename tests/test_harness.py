@@ -165,6 +165,22 @@ class TestRunExperiment:
         assert manifest["models"]["sRNN"]["status"] == "ok"
         table = (out / "results_table.txt").read_text()
         assert "sRNN" in table and "GRU" not in table
+        assert not (out / "GRU").exists()
+
+    def test_failed_training_keeps_a_directory_it_did_not_create(
+            self, encoded_fixture_dir, tmp_path, monkeypatch):
+        def failing(*args):
+            raise NumericError("injected")
+
+        monkeypatch.setattr(harness, "train_model", failing)
+        dataset, fingerprint = harness.read_dataset_dir(encoded_fixture_dir)
+        config = _config(encoded_fixture_dir, tmp_path / "out")
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        for model_dir in (existing, tmp_path / "fresh"):
+            with pytest.raises(NumericError):
+                harness.train_and_save("sRNN", config, dataset, fingerprint, model_dir)
+        assert existing.is_dir() and not (tmp_path / "fresh").exists()
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         config = _config(tmp_path / "nowhere", tmp_path / "out", models=("LSTM",))

@@ -1,14 +1,18 @@
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from narrative_seq import neural_layers
 from narrative_seq.corpus_ingest import DamageLabel
 from narrative_seq.errors import DimensionError
 from narrative_seq.neural_layers import (
+    CHUNK_STEPS,
     GATE_NAMES,
     CellKind,
     ModelSpec,
@@ -301,6 +305,44 @@ class TestBidirectionalForward:
         )
         npt.assert_allclose(bidirectional_forward(x, bidir, p_f, p_b), expected,
                             atol=1e-13)
+
+
+class TestLayerRunner:
+    def test_sequence_functions_are_bit_identical_to_model_forward(self):
+        # Longer than one input-projection chunk, batch-major [B, L, E].
+        spec = build_spec("GRU-BLSTM", embedding_dim=3, hidden_units=4, dense_hidden_units=5)
+        params = init_params(spec, 20, SeededRng(43, 2))
+        ids = np.random.default_rng(7).integers(1, 20, size=(3, CHUNK_STEPS + 6))
+        _, cache = model_forward(ids, spec, params)
+        emb = embedding_forward(ids, params["embedding"])
+        gru, blstm = spec.recurrent_stack
+
+        def sub(prefix):
+            return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+
+        acts = (spec.hidden_activation, spec.cell_activation)
+        seq = recurrent_forward(emb, gru, sub("layer0."), *acts)
+        assert np.array_equal(seq, cache.layers[0][0].h[1:].transpose(1, 0, 2))
+        out = bidirectional_forward(seq, blstm, sub("layer1.fwd."), sub("layer1.bwd."), *acts)
+        assert np.array_equal(out, cache.features)
+
+    def test_only_the_runner_drives_the_direction_kernels(self):
+        # Direction handling (reversal, joining, the split of the gradient)
+        # lives in _layer_forward and _layer_backward; the step functions
+        # reach the kernel through _step.
+        allowed = {"_direction_forward": {"_layer_forward", "_step"},
+                   "_direction_backward": {"_layer_backward"}}
+        tree = ast.parse(Path(neural_layers.__file__).read_text(encoding="utf-8"))
+        callers: dict[str, set[str]] = {name: set() for name in allowed}
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in callers):
+                    callers[node.func.id].add(owner)
+        for name, owners in callers.items():
+            assert owners, f"nothing calls {name}"
+            assert owners <= allowed[name], f"{name} called from {sorted(owners - allowed[name])}"
 
 
 class TestEmbedding:
