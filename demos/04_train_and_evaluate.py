@@ -16,13 +16,11 @@ from narrative_seq import (
     compute_metrics,
     confusion_matrix,
     load_checkpoint,
-    majority_baseline,
     save_checkpoint,
     train_model,
     write_encoded_dataset,
     write_vocab_sidecar,
 )
-from narrative_seq.corpus_ingest import ClassDistribution, DamageLabel
 from narrative_seq.dataset_io import ENCODED_FILENAME, VOCAB_FILENAME, vocab_fingerprint
 from narrative_seq.evaluation import format_evaluation_summary
 from narrative_seq.neural_layers import predict_classes, predict_proba
@@ -54,14 +52,12 @@ probs = predict_proba(dataset.sequences[test_idx], spec, params)
 preds = predict_classes(probs)
 true = dataset.labels[test_idx].astype(int)
 
-cm = confusion_matrix(preds, true)
-weighted = compute_metrics(cm, "weighted")
-macro = compute_metrics(cm, "macro")
-counts = {label: int((true == int(label)).sum()) for label in DamageLabel}
-baseline = majority_baseline(ClassDistribution(counts=counts, total=len(true)))
+# One report holds the per-class metrics, accuracy, the majority-class
+# baseline and both the weighted and the macro aggregates.
+report = compute_metrics(confusion_matrix(preds, true))
 
 print(f"\ntest-split evaluation ({len(test_idx)} records):")
-print(format_evaluation_summary(weighted, macro, baseline))
+print(format_evaluation_summary(report))
 
 # Checkpoints pin the vocabulary they were trained against.
 out = Path(tempfile.mkdtemp())

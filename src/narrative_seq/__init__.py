@@ -36,7 +36,6 @@ from .evaluation import (
     ClassMetrics,
     ConfusionMatrix,
     MetricsReport,
-    PercentStyle,
     compute_metrics,
     confusion_matrix,
     majority_baseline,

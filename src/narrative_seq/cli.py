@@ -30,7 +30,7 @@ from . import dataset_io, harness
 from .checkpoint import load_checkpoint
 from .corpus_ingest import class_distribution, filter_completed, load_reports
 from .errors import CheckpointError, DataError, NumericError
-from .evaluation import format_evaluation_summary, metrics_to_dict
+from .evaluation import format_evaluation_summary
 from .text_pipeline import load_stoplist, preprocess_corpus
 from .training import split_dataset
 
@@ -189,14 +189,12 @@ def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
         "test": test_idx,
         "all": np.arange(len(dataset)),
     }[args.split]
-    cm, weighted, macro, baseline = harness.evaluate_on(
-        spec, params, dataset, indices, batch_size=64
-    )
+    report = harness.evaluate_on(spec, params, dataset, indices, batch_size=64)
     print(f"{spec.name} on the {args.split} split ({indices.size} records)")
-    print(format_evaluation_summary(weighted, macro, baseline), end="")
+    print(format_evaluation_summary(report), end="")
     if args.out:
         metrics_path = harness.make_output_dir(args.out) / harness.METRICS_FILENAME
-        harness.write_json(metrics_path, metrics_to_dict(weighted, macro, cm, baseline))
+        harness.write_json(metrics_path, report.to_dict())
         print(f"metrics written to {metrics_path}")
     return 0
 

@@ -79,11 +79,6 @@ class ClassDistribution:
     counts: Mapping[DamageLabel, int]
     total: int
 
-    def majority_share(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return max(self.counts.values()) / self.total
-
     def to_dict(self) -> dict:
         return {
             "counts": {label.display_name: self.counts[label] for label in DamageLabel},

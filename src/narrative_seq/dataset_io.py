@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,8 +152,8 @@ def read_vocab_sidecar(path: str | Path, data: bytes | None = None) -> Vocabular
     already read by a caller that also fingerprints them.
 
     Anything but a JSON list of ``{token, index, frequency}`` objects with
-    indices ``0..n-1`` in order and ``<pad>`` and ``<oov>`` in rows 0 and 1
-    raises ``DataError``.
+    indices ``0..n-1`` in order, ``<pad>`` and ``<oov>`` in rows 0 and 1 and
+    no token listed twice raises ``DataError``.
     """
     path = Path(path)
     try:
@@ -168,6 +169,9 @@ def read_vocab_sidecar(path: str | Path, data: bytes | None = None) -> Vocabular
         raise DataError(f"{path}: entry indices must run 0..{len(entries) - 1} in order")
     if [e["token"] for e in entries[:2]] != ["<pad>", "<oov>"]:
         raise DataError(f"{path}: rows 0 and 1 must be <pad> and <oov>")
+    repeated = [t for t, n in Counter(e["token"] for e in entries).items() if n > 1]
+    if repeated:
+        raise DataError(f"{path}: token {repeated[0]!r} is listed more than once")
     rest = entries[2:]
     return Vocabulary(tokens=tuple(e["token"] for e in rest),
                       frequencies={e["token"]: e["frequency"] for e in rest},

@@ -1,10 +1,14 @@
 """Confusion matrices, precision/recall/F1/accuracy, and results rendering.
 
-Aggregates are computed under both macro and weighted averaging because the
-reported numbers do not pin the mode; the rendered table defaults to
-weighted, which behaves consistently with accuracy under heavy class
-imbalance. Any 0/0 is defined as 0 and flagged rather than NaN so
-aggregation never silently poisons.
+One evaluation makes one ``MetricsReport``: ``compute_metrics(cm)`` walks
+the confusion matrix once and returns the per-class metrics, accuracy, the
+majority-class baseline (largest row sum over the total) and the aggregates
+under both weighted and macro averaging, since the reported numbers do not
+pin the mode. ``MetricsReport.to_dict`` is the ``metrics.json`` payload,
+``format_evaluation_summary`` prints a report, and ``render_results_table``
+shows the weighted aggregates, which behave consistently with accuracy
+under heavy class imbalance. Any 0/0 is defined as 0 and flagged rather
+than NaN so aggregation never silently poisons.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .corpus_ingest import ClassDistribution, DamageLabel
 from .errors import DimensionError
 from .text_pipeline import NUM_CLASSES
 
-AVERAGING_MODES = ("macro", "weighted")
+_AGGREGATE_KEYS = ("precision", "recall", "f1")
 
 
 @dataclass(frozen=True)
@@ -52,22 +56,25 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-class and aggregated metrics for one trained model."""
+    """Everything one evaluation reports, computed once by ``compute_metrics``.
 
+    ``aggregates`` maps ``"weighted"`` and then ``"macro"`` to a
+    ``{precision, recall, f1}`` dict; ``majority_baseline`` is the accuracy
+    of always predicting the class with the most true instances.
+    """
+
+    confusion: ConfusionMatrix
     per_class: tuple[ClassMetrics, ...]
     accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    averaging_mode: str
+    majority_baseline: float
+    aggregates: dict[str, dict[str, float]]
 
     def to_dict(self) -> dict:
+        """The per-model ``metrics.json`` payload."""
         return {
-            "averaging_mode": self.averaging_mode,
             "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
+            "majority_baseline": self.majority_baseline,
+            "confusion": self.confusion.counts.tolist(),
             "per_class": [
                 {
                     "label": c.label.display_name,
@@ -80,6 +87,7 @@ class MetricsReport:
                 }
                 for c in self.per_class
             ],
+            "aggregates": self.aggregates,
         }
 
 
@@ -101,10 +109,9 @@ def confusion_matrix(preds: Sequence[DamageLabel | int],
     return ConfusionMatrix(counts=counts)
 
 
-def compute_metrics(cm: ConfusionMatrix, mode: str = "weighted") -> MetricsReport:
-    """Per-class precision/recall/F1 plus the aggregate under ``mode``."""
-    if mode not in AVERAGING_MODES:
-        raise ValueError(f"averaging mode must be one of {AVERAGING_MODES}, got {mode!r}")
+def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
+    """Per-class precision/recall/F1, accuracy, the majority-class baseline
+    and the weighted and macro aggregates of one confusion matrix."""
     counts = cm.counts
     total = cm.total
     if total < 1:
@@ -128,21 +135,17 @@ def compute_metrics(cm: ConfusionMatrix, mode: str = "weighted") -> MetricsRepor
                 zero_predictions=col == 0,
             )
         )
-    if mode == "macro":
-        agg_p = sum(c.precision for c in per_class) / NUM_CLASSES
-        agg_r = sum(c.recall for c in per_class) / NUM_CLASSES
-        agg_f = sum(c.f1 for c in per_class) / NUM_CLASSES
-    else:
-        agg_p = sum(c.precision * c.support for c in per_class) / total
-        agg_r = sum(c.recall * c.support for c in per_class) / total
-        agg_f = sum(c.f1 * c.support for c in per_class) / total
     return MetricsReport(
+        confusion=cm,
         per_class=tuple(per_class),
         accuracy=float(np.trace(counts)) / total,
-        precision=agg_p,
-        recall=agg_r,
-        f1=agg_f,
-        averaging_mode=mode,
+        majority_baseline=max(c.support for c in per_class) / total,
+        aggregates={
+            "weighted": {k: sum(getattr(c, k) * c.support for c in per_class) / total
+                         for k in _AGGREGATE_KEYS},
+            "macro": {k: sum(getattr(c, k) for c in per_class) / NUM_CLASSES
+                      for k in _AGGREGATE_KEYS},
+        },
     )
 
 
@@ -154,38 +157,23 @@ def majority_baseline(dist: ClassDistribution) -> float:
     return max(dist.counts.values()) / dist.total
 
 
-@dataclass(frozen=True)
-class PercentStyle:
-    """Rounding for the rendered table: integer percent for
-    precision/recall/F1, one decimal for accuracy."""
-
-    metric_decimals: int = 0
-    accuracy_decimals: int = 1
-
-
 _TABLE_HEADERS = ("Model", "Precision(%)", "Recall(%)", "F1(%)", "Accuracy(%)")
 
 
-def render_results_table(rows: Sequence[tuple[str, MetricsReport]],
-                         style: PercentStyle = PercentStyle()) -> tuple[str, str]:
+def render_results_table(rows: Sequence[tuple[str, MetricsReport]]) -> tuple[str, str]:
     """(text table, CSV sibling) for a list of (model name, report) rows.
 
-    The text table rounds percentages per ``style``; the CSV carries the
-    unrounded fractions so no information is lost to display rounding.
+    The text table shows the weighted aggregates as integer percentages and
+    accuracy to one decimal. The CSV carries the unrounded fractions, one
+    weighted row per model and then one macro row per model.
     """
     if not rows:
         raise ValueError("render_results_table needs at least one row")
-    formatted = []
-    for name, report in rows:
-        formatted.append(
-            (
-                name,
-                f"{report.precision * 100:.{style.metric_decimals}f}",
-                f"{report.recall * 100:.{style.metric_decimals}f}",
-                f"{report.f1 * 100:.{style.metric_decimals}f}",
-                f"{report.accuracy * 100:.{style.accuracy_decimals}f}",
-            )
-        )
+    formatted = [
+        (name, *(f"{report.aggregates['weighted'][k] * 100:.0f}" for k in _AGGREGATE_KEYS),
+         f"{report.accuracy * 100:.1f}")
+        for name, report in rows
+    ]
     widths = [
         max(len(_TABLE_HEADERS[col]), max(len(r[col]) for r in formatted))
         for col in range(5)
@@ -200,25 +188,24 @@ def render_results_table(rows: Sequence[tuple[str, MetricsReport]],
     text = "\n".join(text_lines) + "\n"
 
     csv_lines = ["model,precision,recall,f1,accuracy,averaging"]
-    for name, report in rows:
-        csv_lines.append(
-            f"{name},{report.precision!r},{report.recall!r},{report.f1!r},"
-            f"{report.accuracy!r},{report.averaging_mode}"
-        )
+    for mode in ("weighted", "macro"):
+        for name, report in rows:
+            agg = report.aggregates[mode]
+            csv_lines.append(f"{name},{agg['precision']!r},{agg['recall']!r},"
+                             f"{agg['f1']!r},{report.accuracy!r},{mode}")
     return text, "\n".join(csv_lines) + "\n"
 
 
-def format_evaluation_summary(weighted: MetricsReport, macro: MetricsReport,
-                              baseline: float) -> str:
+def format_evaluation_summary(report: MetricsReport) -> str:
     """Human-readable evaluation block; prints the majority baseline right
     next to model accuracy so imbalanced wins cannot masquerade as skill."""
     lines = [
-        f"Accuracy:                 {weighted.accuracy:.4f}",
-        f"Majority-class baseline:  {baseline:.4f}",
+        f"Accuracy:                 {report.accuracy:.4f}",
+        f"Majority-class baseline:  {report.majority_baseline:.4f}",
         "",
         "Class         Precision  Recall      F1  Support",
     ]
-    for c in weighted.per_class:
+    for c in report.per_class:
         flags = []
         if c.zero_support:
             flags.append("no-support")
@@ -230,35 +217,7 @@ def format_evaluation_summary(weighted: MetricsReport, macro: MetricsReport,
             f"{c.f1:6.4f}  {c.support:7d}{suffix}"
         )
     lines.append("")
-    lines.append(
-        f"Aggregate (weighted): precision {weighted.precision:.4f}, "
-        f"recall {weighted.recall:.4f}, F1 {weighted.f1:.4f}"
-    )
-    lines.append(
-        f"Aggregate (macro):    precision {macro.precision:.4f}, "
-        f"recall {macro.recall:.4f}, F1 {macro.f1:.4f}"
-    )
+    for mode, agg in report.aggregates.items():
+        lines.append(f"{f'Aggregate ({mode}):':<21} precision {agg['precision']:.4f}, "
+                     f"recall {agg['recall']:.4f}, F1 {agg['f1']:.4f}")
     return "\n".join(lines) + "\n"
-
-
-def metrics_to_dict(weighted: MetricsReport, macro: MetricsReport,
-                    cm: ConfusionMatrix, baseline: float) -> dict:
-    """Full metrics payload for the per-model JSON artifact."""
-    return {
-        "accuracy": weighted.accuracy,
-        "majority_baseline": baseline,
-        "confusion": cm.counts.tolist(),
-        "per_class": weighted.to_dict()["per_class"],
-        "aggregates": {
-            "weighted": {
-                "precision": weighted.precision,
-                "recall": weighted.recall,
-                "f1": weighted.f1,
-            },
-            "macro": {
-                "precision": macro.precision,
-                "recall": macro.recall,
-                "f1": macro.f1,
-            },
-        },
-    }

@@ -26,16 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset_io, zoo
-from .corpus_ingest import ClassDistribution, DamageLabel
 from .checkpoint import save_checkpoint
 from .errors import DataError, NumericError
-from .evaluation import (
-    compute_metrics,
-    confusion_matrix,
-    majority_baseline,
-    metrics_to_dict,
-    render_results_table,
-)
+from .evaluation import MetricsReport, compute_metrics, confusion_matrix, render_results_table
 from .training import (
     SplitSpec,
     TrainConfig,
@@ -213,17 +206,11 @@ def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.Enco
     return spec, params, history
 
 
-def evaluate_on(spec, params, dataset, indices, batch_size: int):
-    """Confusion matrix and both-mode reports over the given indices."""
+def evaluate_on(spec, params, dataset, indices, batch_size: int) -> MetricsReport:
+    """The metrics report of the model over the records at ``indices``."""
     idx = np.asarray(indices)
-    labels = dataset.labels[idx].astype(np.int64)
     preds, _ = score_records(spec, params, dataset, idx, batch_size)
-    cm = confusion_matrix(preds, labels)
-    weighted = compute_metrics(cm, "weighted")
-    macro = compute_metrics(cm, "macro")
-    counts = {label: int(np.sum(labels == int(label))) for label in DamageLabel}
-    baseline = majority_baseline(ClassDistribution(counts=counts, total=idx.size))
-    return cm, weighted, macro, baseline
+    return compute_metrics(confusion_matrix(preds, dataset.labels[idx]))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -238,16 +225,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
             spec, params, _ = train_and_save(name, config, dataset, fingerprint, out_dir / name)
         except NumericError as exc:
             return {"name": name, "status": "failed", "error": str(exc)}
-        cm, weighted, macro, baseline = evaluate_on(
-            spec, params, dataset, test_idx, config.train.batch_size
-        )
-        write_json(out_dir / name / METRICS_FILENAME,
-                   metrics_to_dict(weighted, macro, cm, baseline))
+        report = evaluate_on(spec, params, dataset, test_idx, config.train.batch_size)
+        write_json(out_dir / name / METRICS_FILENAME, report.to_dict())
         return {
             "name": name,
             "status": "ok",
-            "weighted": weighted,
-            "macro": macro,
+            "report": report,
             "files": [
                 f"{name}/{CHECKPOINT_FILENAME}",
                 f"{name}/{HISTORY_FILENAME}",
@@ -260,13 +243,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     succeeded = [o for o in outcomes if o["status"] == "ok"]
     written: list[str] = [f for o in succeeded for f in o["files"]]
     if succeeded:
-        table_text, _ = render_results_table(
-            [(o["name"], o["weighted"]) for o in succeeded]
-        )
-        _, csv_text = render_results_table(
-            [(o["name"], o["weighted"]) for o in succeeded]
-            + [(o["name"], o["macro"]) for o in succeeded]
-        )
+        table_text, csv_text = render_results_table([(o["name"], o["report"]) for o in succeeded])
         dataset_io.write_atomic(out_dir / RESULTS_TABLE_FILENAME, table_text.encode("utf-8"))
         dataset_io.write_atomic(out_dir / RESULTS_CSV_FILENAME, csv_text.encode("utf-8"))
         written += [RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME]

@@ -539,6 +539,9 @@ def _step(kind: CellKind, params: Mapping[str, Tensor], activation: str,
     """
     x, h, c = (None if v is None else np.asarray(v, dtype=np.float64)
                for v in (x_t, h_prev, c_prev))
+    for name, v in (("x_t", x), ("h_prev", h)):
+        if v.ndim not in (1, 2):
+            raise DimensionError(f"{name} must be [d] or [B, d], got shape {v.shape}")
     squeeze = x.ndim == 1
     x, h, c = (v[None, :] if v is not None and v.ndim == 1 else v for v in (x, h, c))
     if c is not None and c.shape != h.shape:

@@ -125,13 +125,13 @@ def test_c3_metrics_agree_with_brute_force_oracle():
             preds = rng.integers(0, 4, size=n).tolist()
             labels = rng.integers(0, 4, size=n).tolist()
             cm = confusion_matrix(preds, labels)
+            report = compute_metrics(cm)
             for mode in ("macro", "weighted"):
-                report = compute_metrics(cm, mode)
                 per_class, accuracy, agg = oracle_metrics(preds, labels, mode)
                 assert abs(report.accuracy - accuracy) < 1e-12
-                assert abs(report.precision - agg[0]) < 1e-12
-                assert abs(report.recall - agg[1]) < 1e-12
-                assert abs(report.f1 - agg[2]) < 1e-12
+                assert abs(report.aggregates[mode]["precision"] - agg[0]) < 1e-12
+                assert abs(report.aggregates[mode]["recall"] - agg[1]) < 1e-12
+                assert abs(report.aggregates[mode]["f1"] - agg[2]) < 1e-12
                 for c, (p, r, f1, support) in zip(report.per_class, per_class):
                     assert abs(c.precision - p) < 1e-12
                     assert abs(c.recall - r) < 1e-12
@@ -139,7 +139,7 @@ def test_c3_metrics_agree_with_brute_force_oracle():
                     assert c.support == support
         # Hand-checked four-pair example holds exactly.
         cm = confusion_matrix([0, 1, 1, 2], [0, 1, 2, 2])
-        report = compute_metrics(cm, "weighted")
+        report = compute_metrics(cm)
         assert report.accuracy == 0.75
         assert report.per_class[2].recall == 0.5
         assert report.per_class[1].precision == 0.5
@@ -245,10 +245,14 @@ def test_c7_majority_baseline_surfaced_next_to_accuracy():
         # Majority-vote predictions give a full report to render.
         labels = [int(r.damage_level) for r in records]
         preds = [int(DamageLabel.SUBSTANTIAL)] * len(labels)
-        cm = confusion_matrix(preds, labels)
-        weighted = compute_metrics(cm, "weighted")
-        macro = compute_metrics(cm, "macro")
-        text = format_evaluation_summary(weighted, macro, baseline)
+        report = compute_metrics(confusion_matrix(preds, labels))
+        assert report.majority_baseline == baseline
+        for mode in ("macro", "weighted"):
+            _, _, agg = oracle_metrics(preds, labels, mode)
+            got = report.aggregates[mode]
+            for value, expected in zip((got["precision"], got["recall"], got["f1"]), agg):
+                assert abs(value - expected) < 1e-12
+        text = format_evaluation_summary(report)
         lines = text.splitlines()
         assert lines[0].startswith("Accuracy")
         assert "baseline" in lines[1].lower() and f"{baseline:.4f}" in lines[1]
@@ -266,9 +270,10 @@ def test_c8_results_table_reproduces_reference_row():
                          f1=0.88, support=1)
             for i in range(4)
         )
-        report = MetricsReport(per_class=per_class, accuracy=0.889,
-                               precision=0.87, recall=0.89, f1=0.88,
-                               averaging_mode="weighted")
+        aggregate = {"precision": 0.87, "recall": 0.89, "f1": 0.88}
+        report = MetricsReport(confusion=confusion_matrix([1], [1]), per_class=per_class,
+                               accuracy=0.889, majority_baseline=1.0,
+                               aggregates={"weighted": aggregate, "macro": aggregate})
         text, _ = render_results_table([("LSTM", report)])
         row = [line for line in text.splitlines() if line.startswith("LSTM")][0]
         assert row.split() == ["LSTM", "87", "89", "88", "88.9"]

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from narrative_seq import dataset_io, harness
 from narrative_seq.checkpoint import save_checkpoint
@@ -351,6 +352,29 @@ def test_train_rejects_sidecar_of_another_vocabulary(tmp_path, corpus_file, monk
     assert trained == [] and not (tmp_path / "model").exists()
     err = capsys.readouterr().err
     assert "data error" in err and "50 entries" in err
+
+
+# The module fixtures are only read: each example corrupts its own copy.
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("name", [dataset_io.ENCODED_FILENAME, dataset_io.VOCAB_FILENAME])
+def test_corrupt_dataset_file_exits_0_or_2(tmp_path_factory, encoded_dir, model_file,
+                                          name, data):
+    # A truncated file or one changed byte either still evaluates or is a
+    # data error; no exception escapes cli.main.
+    corrupt = tmp_path_factory.mktemp("corrupt")
+    for f in (dataset_io.ENCODED_FILENAME, dataset_io.VOCAB_FILENAME):
+        shutil.copy(encoded_dir / f, corrupt / f)
+    raw = bytearray((encoded_dir / name).read_bytes())
+    # The first bytes hold the .nseq header and the sidecar's reserved rows.
+    pos = data.draw(st.integers(0, 63) | st.integers(0, len(raw) - 1), label="pos")
+    if data.draw(st.booleans(), label="truncate"):
+        del raw[pos:]
+    else:
+        raw[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]), label="byte")
+    (corrupt / name).write_bytes(bytes(raw))
+    assert main(["evaluate", "--model-file", str(model_file), "--data", str(corrupt)]) in (0, 2)
 
 
 def _history_epochs(out):

@@ -177,17 +177,3 @@ class TestClassDistribution:
         records = [_record(str(i), level=DamageLabel(i % 4)) for i in range(37)]
         dist = class_distribution(records)
         assert dist.total == len(records) == sum(dist.counts.values())
-
-    def test_reference_distribution_majority_share(self):
-        # Independent arithmetic on the published corpus counts.
-        counts = {
-            DamageLabel.DESTROYED: 1409,
-            DamageLabel.SUBSTANTIAL: 15163,
-            DamageLabel.MINOR: 195,
-            DamageLabel.NO_DAMAGE: 152,
-        }
-        total = sum(counts.values())
-        assert total == 16919
-        dist = ClassDistribution(counts=counts, total=total)
-        assert dist.majority_share() == pytest.approx(15163 / 16919)
-        assert dist.majority_share() == pytest.approx(0.8962, abs=1e-4)

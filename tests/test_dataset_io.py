@@ -147,7 +147,10 @@ class TestVocabSidecar:
         ([{"token": "<oov>", "index": 0, "frequency": 0},
           {"token": "<pad>", "index": 1, "frequency": 0}], "<pad> and <oov>"),
         ([], "<pad> and <oov>"),
-    ], ids=["object", "missing-key", "string-index", "index-gap", "reserved-swapped", "empty"])
+        ([{"token": t, "index": i, "frequency": 1}
+          for i, t in enumerate(("<pad>", "<oov>", "a", "a"))], "'a' is listed more than once"),
+    ], ids=["object", "missing-key", "string-index", "index-gap", "reserved-swapped", "empty",
+            "repeated-token"])
     def test_malformed_sidecar_is_data_error(self, tmp_path, entries, match):
         import json
 

@@ -5,7 +5,6 @@ import pytest
 from narrative_seq.corpus_ingest import ClassDistribution, DamageLabel
 from narrative_seq.errors import DimensionError
 from narrative_seq.evaluation import (
-    PercentStyle,
     compute_metrics,
     confusion_matrix,
     format_evaluation_summary,
@@ -79,27 +78,35 @@ class TestConfusionMatrix:
 class TestComputeMetrics:
     def test_perfect_predictions(self):
         cm = confusion_matrix([0, 1, 2, 3], [0, 1, 2, 3])
-        for mode in ("macro", "weighted"):
-            report = compute_metrics(cm, mode)
-            assert report.accuracy == 1.0
-            assert report.precision == report.recall == report.f1 == 1.0
-            assert all(c.precision == c.recall == c.f1 == 1.0 for c in report.per_class)
+        report = compute_metrics(cm)
+        assert report.accuracy == 1.0
+        assert list(report.aggregates) == ["weighted", "macro"]
+        for agg in report.aggregates.values():
+            assert agg == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+        assert all(c.precision == c.recall == c.f1 == 1.0 for c in report.per_class)
 
     def test_hand_checked_four_pair_example(self):
         cm = confusion_matrix([0, 1, 1, 2], [0, 1, 2, 2])
-        report = compute_metrics(cm, "weighted")
+        report = compute_metrics(cm)
+        assert report.confusion is cm
         assert report.accuracy == 0.75
         assert report.per_class[2].recall == 0.5
         assert report.per_class[1].precision == 0.5
 
     def test_zero_support_class_flagged(self):
         cm = confusion_matrix([0, 0, 1], [0, 0, 1])  # classes 2, 3 unseen
-        report = compute_metrics(cm, "weighted")
+        report = compute_metrics(cm)
         assert report.per_class[3].zero_support
         assert report.per_class[3].recall == 0.0
         assert report.per_class[3].zero_predictions
         # Weighted aggregation weights the empty class by zero support.
-        assert report.recall == 1.0
+        assert report.aggregates["weighted"]["recall"] == 1.0
+
+    def test_majority_baseline_is_largest_row_share(self):
+        # True labels 1, 1, 1, 0, 2: class 1 holds 3 of 5 rows.
+        report = compute_metrics(confusion_matrix([0, 0, 0, 0, 0], [1, 1, 1, 0, 2]))
+        assert report.majority_baseline == 3 / 5
+        assert report.accuracy == 1 / 5
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(99)
@@ -108,13 +115,13 @@ class TestComputeMetrics:
             preds = rng.integers(0, 4, size=n).tolist()
             labels = rng.integers(0, 4, size=n).tolist()
             cm = confusion_matrix(preds, labels)
+            report = compute_metrics(cm)
             for mode in ("macro", "weighted"):
-                report = compute_metrics(cm, mode)
                 per_class, accuracy, agg = oracle_metrics(preds, labels, mode)
                 assert abs(report.accuracy - accuracy) < 1e-12
-                assert abs(report.precision - agg[0]) < 1e-12
-                assert abs(report.recall - agg[1]) < 1e-12
-                assert abs(report.f1 - agg[2]) < 1e-12
+                assert abs(report.aggregates[mode]["precision"] - agg[0]) < 1e-12
+                assert abs(report.aggregates[mode]["recall"] - agg[1]) < 1e-12
+                assert abs(report.aggregates[mode]["f1"] - agg[2]) < 1e-12
                 for c, (p, r, f1, support) in zip(report.per_class, per_class):
                     assert abs(c.precision - p) < 1e-12
                     assert abs(c.recall - r) < 1e-12
@@ -131,14 +138,9 @@ class TestComputeMetrics:
         tp = float(np.trace(cm.counts))
         micro_p = tp / cm.counts.sum(axis=0).sum()
         micro_r = tp / cm.counts.sum(axis=1).sum()
-        accuracy = compute_metrics(cm, "weighted").accuracy
+        accuracy = compute_metrics(cm).accuracy
         assert micro_p == pytest.approx(accuracy, abs=1e-15)
         assert micro_r == pytest.approx(accuracy, abs=1e-15)
-
-    def test_unknown_mode_rejected(self):
-        cm = confusion_matrix([0], [0])
-        with pytest.raises(ValueError):
-            compute_metrics(cm, "median")
 
 
 class TestMajorityBaseline:
@@ -150,8 +152,11 @@ class TestMajorityBaseline:
         assert majority_baseline(self._dist([5, 5, 5, 5])) == 0.25
 
     def test_reference_counts(self):
+        # Independent arithmetic on the published corpus counts.
         dist = self._dist([1409, 15163, 195, 152])
+        assert dist.total == 16919
         assert majority_baseline(dist) == pytest.approx(15163 / 16919)
+        assert majority_baseline(dist) == pytest.approx(0.8962, abs=1e-4)
 
     def test_single_class(self):
         assert majority_baseline(self._dist([0, 9, 0, 0])) == 1.0
@@ -161,7 +166,7 @@ class TestMajorityBaseline:
             majority_baseline(self._dist([0, 0, 0, 0]))
 
 
-def _report(precision, recall, f1, accuracy, mode="weighted"):
+def _report(precision, recall, f1, accuracy, macro=(0.5, 0.6, 0.55)):
     from narrative_seq.evaluation import ClassMetrics, MetricsReport
 
     per_class = tuple(
@@ -169,9 +174,13 @@ def _report(precision, recall, f1, accuracy, mode="weighted"):
                      f1=f1, support=10)
         for i in range(4)
     )
-    return MetricsReport(per_class=per_class, accuracy=accuracy,
-                         precision=precision, recall=recall, f1=f1,
-                         averaging_mode=mode)
+    keys = ("precision", "recall", "f1")
+    return MetricsReport(
+        confusion=confusion_matrix([0], [0]), per_class=per_class, accuracy=accuracy,
+        majority_baseline=0.8962,
+        aggregates={"weighted": dict(zip(keys, (precision, recall, f1))),
+                    "macro": dict(zip(keys, macro))},
+    )
 
 
 class TestRenderResultsTable:
@@ -189,22 +198,19 @@ class TestRenderResultsTable:
         )
 
     def test_csv_round_trips_full_precision(self):
-        report = _report(1 / 3, 2 / 3, 0.123456789012345, 0.999999999999)
-        _, csv_text = render_results_table([("sRNN", report)])
-        row = csv_text.strip().split("\n")[1].split(",")
-        assert float(row[1]) == report.precision
-        assert float(row[2]) == report.recall
-        assert float(row[3]) == report.f1
-        assert float(row[4]) == report.accuracy
-        assert row[5] == "weighted"
-
-    def test_custom_style(self):
-        text, _ = render_results_table(
-            [("GRU", _report(0.854, 0.89, 0.88, 0.89))],
-            style=PercentStyle(metric_decimals=1, accuracy_decimals=2),
-        )
-        row = [line for line in text.splitlines() if line.startswith("GRU")][0]
-        assert row.split() == ["GRU", "85.4", "89.0", "88.0", "89.00"]
+        # Weighted rows for every model, then macro rows, unrounded.
+        rows = [("sRNN", _report(1 / 3, 2 / 3, 0.123456789012345, 0.999999999999,
+                                 macro=(1 / 7, 2 / 7, 3 / 7))),
+                ("GRU", _report(0.9, 0.8, 0.7, 0.6))]
+        _, csv_text = render_results_table(rows)
+        lines = [line.split(",") for line in csv_text.strip().split("\n")[1:]]
+        assert [(line[0], line[5]) for line in lines] == [
+            ("sRNN", "weighted"), ("GRU", "weighted"), ("sRNN", "macro"), ("GRU", "macro")]
+        for line in lines:
+            report = dict(rows)[line[0]]
+            agg = report.aggregates[line[5]]
+            assert [float(v) for v in line[1:5]] == [
+                agg["precision"], agg["recall"], agg["f1"], report.accuracy]
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -212,9 +218,7 @@ class TestRenderResultsTable:
 
 
 def test_summary_prints_baseline_next_to_accuracy():
-    weighted = _report(0.8, 0.9, 0.85, 0.896)
-    macro = _report(0.5, 0.6, 0.55, 0.896, mode="macro")
-    text = format_evaluation_summary(weighted, macro, baseline=0.8962)
+    text = format_evaluation_summary(_report(0.8, 0.9, 0.85, 0.896))
     assert "0.8962" in text and "Accuracy" in text and "baseline" in text.lower()
     lines = text.splitlines()
     assert lines[0].startswith("Accuracy")

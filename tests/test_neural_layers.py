@@ -258,6 +258,14 @@ class TestRecurrentForward:
         if kind is CellKind.LSTM:
             with pytest.raises(DimensionError):
                 lstm_step(np.zeros(2), np.zeros(3), np.zeros(4), p)
+        step = {CellKind.SRNN: lambda x, h: srnn_step(x, h, p),
+                CellKind.GRU: lambda x, h: gru_step(x, h, p),
+                CellKind.LSTM: lambda x, h: lstm_step(x, h, np.zeros(3), p)}[kind]
+        for x_t in (np.zeros((1, 1, 2)), np.float64(1.0)):
+            with pytest.raises(DimensionError, match=r"x_t must be .* got shape"):
+                step(x_t, np.zeros(3))
+        with pytest.raises(DimensionError, match="h_prev"):
+            step(np.zeros(2), np.float64(0.0))
 
     def test_rejects_bidirectional_layer(self):
         layer = RecurrentLayerSpec(CellKind.SRNN, 3, bidirectional=True)

@@ -1,6 +1,6 @@
 """Byte pins for the evaluation artifacts: ``metrics.json`` as ``write_json``
 writes it, ``results_table.txt``, ``results.csv`` and the ``evaluate``
-summary text.
+summary text. Also counts ``compute_metrics`` calls: one per evaluation.
 
 Predictions are fixed (``score_records`` and ``train_model`` are stubbed),
 so no BLAS call is involved and the bytes are the same on every build. The
@@ -16,6 +16,7 @@ import pytest
 from narrative_seq import dataset_io, harness
 from narrative_seq.checkpoint import save_checkpoint
 from narrative_seq.cli import main
+from narrative_seq.evaluation import compute_metrics
 from narrative_seq.neural_layers import init_params
 from narrative_seq.tensor_core import SeededRng
 from narrative_seq.text_pipeline import build_vocabulary
@@ -104,16 +105,45 @@ RESULTS_TABLE = (
 RESULTS_CSV_SHA256 = "b513ae9e02870cefc889b0ca66af320f261370793f62568aa3acb0b92efef443"
 
 
-def test_compare_results_table_and_csv(data_dir, tmp_path, fixed_scores, monkeypatch):
+@pytest.fixture()
+def fixed_training(monkeypatch):
     def train(spec, dataset, config, split):
         history = [EpochStats(train_loss=1.0, train_accuracy=0.5,
                               val_loss=1.0, val_accuracy=0.5)]
         return init_params(spec, dataset.vocab_size, SeededRng(0)), history
 
     monkeypatch.setattr(harness, "train_model", train)
-    out = tmp_path / "out"
+
+
+def _compare(data_dir, out):
     harness.run_experiment(harness.config_from_dict(
         {"data_path": str(data_dir), "output_dir": str(out),
          "model_names": list(MODELS), **DIMS}))
+
+
+def test_compare_results_table_and_csv(data_dir, tmp_path, fixed_scores, fixed_training):
+    out = tmp_path / "out"
+    _compare(data_dir, out)
     assert (out / harness.RESULTS_TABLE_FILENAME).read_text(encoding="utf-8") == RESULTS_TABLE
     assert _sha256((out / harness.RESULTS_CSV_FILENAME).read_bytes()) == RESULTS_CSV_SHA256
+
+
+@pytest.fixture()
+def metric_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compute_metrics", counted)
+    return calls
+
+
+def test_one_compute_metrics_call_per_evaluation(data_dir, tmp_path, fixed_scores,
+                                                 fixed_training, metric_calls):
+    model = _checkpoint(data_dir, tmp_path / "checkpoint.nsck")
+    assert main(["evaluate", "--model-file", str(model), "--data", str(data_dir)]) == 0
+    assert len(metric_calls) == 1
+    _compare(data_dir, tmp_path / "out")
+    assert len(metric_calls) == 1 + len(MODELS)
