@@ -10,6 +10,7 @@ from narrative_seq.corpus_ingest import (
     map_damage_label,
 )
 from narrative_seq.errors import DataError
+from narrative_seq.evaluation import majority_baseline
 
 
 def _entry(rid, narrative="the aircraft landed", level="Substantial", complete=True):
@@ -177,3 +178,17 @@ class TestClassDistribution:
         records = [_record(str(i), level=DamageLabel(i % 4)) for i in range(37)]
         dist = class_distribution(records)
         assert dist.total == len(records) == sum(dist.counts.values())
+
+    def test_reference_distribution_majority_share(self):
+        # Independent arithmetic on the published corpus counts.
+        counts = {
+            DamageLabel.DESTROYED: 1409,
+            DamageLabel.SUBSTANTIAL: 15163,
+            DamageLabel.MINOR: 195,
+            DamageLabel.NO_DAMAGE: 152,
+        }
+        total = sum(counts.values())
+        assert total == 16919
+        dist = ClassDistribution(counts=counts, total=total)
+        assert majority_baseline(dist) == pytest.approx(15163 / 16919)
+        assert majority_baseline(dist) == pytest.approx(0.8962, abs=1e-4)
