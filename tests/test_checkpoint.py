@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -121,6 +122,33 @@ class TestGuards:
         loaded_spec, _ = load_checkpoint(path, FP)
         assert loaded_spec == spec
         assert loaded_spec.recurrent_stack[0].kind.value == "gru"
+
+
+class TestHeaderBytes:
+    # The header of a three-layer checkpoint, byte for byte. Its model_spec
+    # carries the skeleton's fixed values (num_classes, both activations,
+    # the dense hidden layer, no padding mask) next to the widths and stack.
+    SPEC_JSON = (
+        '"model_spec":{"cell_activation":"tanh","dense_hidden_units":5,"embedding_dim":3,'
+        '"hidden_activation":"relu","mask_padding":false,"name":"GRU-BLSTM-sRNN",'
+        '"num_classes":4,"recurrent_stack":['
+        '{"bidirectional":false,"hidden_units":4,"kind":"gru","returns_sequence":true},'
+        '{"bidirectional":true,"hidden_units":4,"kind":"lstm","returns_sequence":true},'
+        '{"bidirectional":false,"hidden_units":4,"kind":"srnn","returns_sequence":false}],'
+        '"use_dense_hidden":true}'
+    )
+    HEADER_SHA256 = "d4f8ac8bfbcf50cf3d3ca0c5c813337857a292a9946d78223d2c959476a5689b"
+
+    def test_header_bytes_are_pinned(self, tmp_path):
+        spec = build_spec("GRU-BLSTM-sRNN", embedding_dim=3, hidden_units=4,
+                          dense_hidden_units=5)
+        path = tmp_path / "model.nsck"
+        save_checkpoint(init_params(spec, 10, SeededRng(1, 2)), spec, FP, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+        header = raw[len(MAGIC) + 8:len(MAGIC) + 8 + header_len]
+        assert self.SPEC_JSON.encode() in header
+        assert hashlib.sha256(header).hexdigest() == self.HEADER_SHA256
 
 
 def _rewrite_header(path, edit):
