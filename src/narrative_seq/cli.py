@@ -189,6 +189,7 @@ def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
         "test": test_idx,
         "all": np.arange(len(dataset)),
     }[args.split]
+    harness.require_records(args.split, indices, config.split)
     report = harness.evaluate_on(spec, params, dataset, indices, batch_size=64)
     print(f"{spec.name} on the {args.split} split ({indices.size} records)")
     print(format_evaluation_summary(report), end="")
@@ -205,8 +206,9 @@ def _cmd_compare(args, config: harness.ExperimentConfig) -> int:
     if not config.output_dir:
         raise _UsageError("compare needs --out or output_dir in the config file")
     manifest = harness.run_experiment(config)
-    table = Path(config.output_dir) / harness.RESULTS_TABLE_FILENAME
-    if table.exists():
+    # A table left by an earlier run in the same directory is not this run's.
+    if harness.RESULTS_TABLE_FILENAME in manifest["files"]:
+        table = Path(config.output_dir) / harness.RESULTS_TABLE_FILENAME
         print(table.read_text(encoding="utf-8"), end="")
     failed = [n for n, m in manifest["models"].items() if m["status"] == "failed"]
     for name in failed:

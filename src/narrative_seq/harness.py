@@ -206,6 +206,18 @@ def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.Enco
     return spec, params, history
 
 
+# The config key that sizes each split that can come out empty; the train
+# split always keeps at least one record.
+_SPLIT_FRACTION_KEYS = {"validation": "validation_fraction_of_train", "test": "test_fraction"}
+
+
+def require_records(split: str, indices: np.ndarray, spec: SplitSpec) -> None:
+    """A ``DataError`` naming the config key when the ``split`` split is empty."""
+    if indices.size == 0:
+        key = _SPLIT_FRACTION_KEYS[split]
+        raise DataError(f"the {split} split holds no records with {key} {getattr(spec, key)!r}")
+
+
 def evaluate_on(spec, params, dataset, indices, batch_size: int) -> MetricsReport:
     """The metrics report of the model over the records at ``indices``."""
     idx = np.asarray(indices)
@@ -215,10 +227,15 @@ def evaluate_on(spec, params, dataset, indices, batch_size: int) -> MetricsRepor
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Train, evaluate, and serialize every selected model; returns the
-    manifest that was also written to the output directory."""
-    out_dir = make_output_dir(config.output_dir)
+    manifest that was also written to the output directory.
+
+    The dataset is read and its test split checked before the output
+    directory is created, so a run that cannot evaluate trains nothing.
+    """
     dataset, fingerprint = read_dataset_dir(config.data_path)
     _, _, test_idx = split_dataset(len(dataset), config.split)
+    require_records("test", test_idx, config.split)
+    out_dir = make_output_dir(config.output_dir)
 
     def run_one(name: str) -> dict:
         try:

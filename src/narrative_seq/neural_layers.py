@@ -4,17 +4,18 @@ time.
 
 Architecture: token ids -> embedding lookup -> recurrent stack (each layer
 feeds the next; only the last layer collapses to its final state) -> one
-ReLU dense hidden layer (optional) -> dense output with softmax.
+ReLU dense hidden layer -> dense output with softmax.
 
 Gradients are hand-derived per layer; there is no autodiff. The backward
 pass consumes the forward cache without recomputation and is exact for the
 loss ``cross-entropy(softmax(logits))``, which is why finite-difference
 checks can pin it to 1e-5 relative error.
 
-Gate activations are always the logistic sigmoid (gating needs the (0,1)
-range); the candidate/state activation defaults to tanh for LSTM/GRU, and
-the simple cell and dense hidden layer default to ReLU. Both are
-configurable on ``ModelSpec``.
+Every zoo model shares this skeleton, and only the layer widths and the
+stack vary (``ModelSpec``). Gates are the logistic sigmoid (gating needs the
+(0,1) range), the LSTM and GRU candidate and state use tanh, and the simple
+cell and the dense hidden layer use ReLU. Padding ids run through the cells
+like any other token; nothing is masked.
 
 Parameter tensors live in a flat name->array dict in a canonical order (see
 ``param_shapes``); the README documents the shape table. Storage stays
@@ -35,9 +36,9 @@ steps, so they are summed per chunk and then across chunks; that order
 fixes the bits of trained parameters, not their values beyond rounding.
 
 One layer runner handles directions. ``_layer_forward`` runs every
-direction of a layer: it hands the backward direction the reversed inputs
-and mask, flips that direction's states back to input order, and joins the
-directions on the feature axis. ``_layer_backward``, its adjoint, splits
+direction of a layer: it hands the backward direction the reversed inputs,
+flips that direction's states back to input order, and joins the directions
+on the feature axis. ``_layer_backward``, its adjoint, splits
 and reverses the output gradient and sums the directions' input gradients.
 ``model_forward`` and ``predict_proba`` (through ``_forward``),
 ``model_backward``, ``recurrent_forward`` and ``bidirectional_forward`` all
@@ -84,7 +85,6 @@ GATE_NAMES: Mapping[CellKind, tuple[str, ...]] = {
 }
 
 ParamDict = dict[str, Tensor]
-ModelParams = ParamDict
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,17 @@ class RecurrentLayerSpec:
         return self.hidden_units * (2 if self.bidirectional else 1)
 
 
+# The skeleton's fixed values. Checkpoint headers record them next to the
+# spec, and ``ModelSpec.from_dict`` refuses a header with any other value.
+_FIXED_SPEC = {
+    "num_classes": NUM_CLASSES,
+    "hidden_activation": "relu",
+    "cell_activation": "tanh",
+    "use_dense_hidden": True,
+    "mask_padding": False,
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Ordered architecture description; fully determines parameter shapes
@@ -112,15 +123,8 @@ class ModelSpec:
     embedding_dim: int
     recurrent_stack: tuple[RecurrentLayerSpec, ...]
     dense_hidden_units: int
-    num_classes: int = NUM_CLASSES
-    hidden_activation: str = "relu"   # simple cell and dense hidden layer
-    cell_activation: str = "tanh"     # LSTM/GRU candidate and state
-    use_dense_hidden: bool = True
-    mask_padding: bool = False
 
     def __post_init__(self):
-        if self.num_classes != NUM_CLASSES:
-            raise ValueError(f"num_classes is fixed at {NUM_CLASSES}")
         if self.embedding_dim < 1 or self.dense_hidden_units < 1:
             raise ValueError("embedding_dim and dense_hidden_units must be positive")
         if not self.recurrent_stack:
@@ -130,9 +134,6 @@ class ModelSpec:
                 raise ValueError("every layer except the last must return sequences")
         if self.recurrent_stack[-1].returns_sequence:
             raise ValueError("the last recurrent layer must not return sequences")
-        for act in (self.hidden_activation, self.cell_activation):
-            if act not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
 
     @property
     def feature_width(self) -> int:
@@ -152,15 +153,14 @@ class ModelSpec:
                 for layer in self.recurrent_stack
             ],
             "dense_hidden_units": self.dense_hidden_units,
-            "num_classes": self.num_classes,
-            "hidden_activation": self.hidden_activation,
-            "cell_activation": self.cell_activation,
-            "use_dense_hidden": self.use_dense_hidden,
-            "mask_padding": self.mask_padding,
+            **_FIXED_SPEC,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelSpec":
+        for key, value in _FIXED_SPEC.items():
+            if data[key] != value:
+                raise ValueError(f"{key} is fixed at {value!r}, got {data[key]!r}")
         return cls(
             name=data["name"],
             embedding_dim=data["embedding_dim"],
@@ -174,20 +174,17 @@ class ModelSpec:
                 for layer in data["recurrent_stack"]
             ),
             dense_hidden_units=data["dense_hidden_units"],
-            num_classes=data["num_classes"],
-            hidden_activation=data["hidden_activation"],
-            cell_activation=data["cell_activation"],
-            use_dense_hidden=data["use_dense_hidden"],
-            mask_padding=data["mask_padding"],
         )
 
 
-# Derivatives are taken from the activation OUTPUT, which every supported
-# activation permits; the cache then never stores pre-activations.
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (relu, lambda out: (out > 0).astype(np.float64)),
-    "tanh": (np.tanh, lambda out: 1.0 - out * out),
-}
+# Derivatives are taken from the activation OUTPUT, so the cache never
+# stores pre-activations.
+def _relu_deriv(out: Tensor) -> Tensor:
+    return (out > 0).astype(np.float64)
+
+
+def _tanh_deriv(out: Tensor) -> Tensor:
+    return 1.0 - out * out
 
 
 def _sigmoid_deriv(out: Tensor) -> Tensor:
@@ -225,14 +222,10 @@ def param_shapes(spec: ModelSpec, vocab_size: int) -> dict[str, tuple[int, ...]]
                 shapes[f"{prefix}W{gate}"] = (fan_in, h)
                 shapes[f"{prefix}U{gate}"] = (h, h)
                 shapes[f"{prefix}b{gate}"] = (h,)
-    if spec.use_dense_hidden:
-        shapes["dense_hidden.W"] = (spec.feature_width, spec.dense_hidden_units)
-        shapes["dense_hidden.b"] = (spec.dense_hidden_units,)
-        out_in = spec.dense_hidden_units
-    else:
-        out_in = spec.feature_width
-    shapes["output.W"] = (out_in, spec.num_classes)
-    shapes["output.b"] = (spec.num_classes,)
+    shapes["dense_hidden.W"] = (spec.feature_width, spec.dense_hidden_units)
+    shapes["dense_hidden.b"] = (spec.dense_hidden_units,)
+    shapes["output.W"] = (spec.dense_hidden_units, NUM_CLASSES)
+    shapes["output.b"] = (NUM_CLASSES,)
     return shapes
 
 
@@ -252,10 +245,6 @@ def init_params(spec: ModelSpec, vocab_size: int, rng: SeededRng) -> ParamDict:
             params[name] = uniform_init(rng, shape, bound)
     params["embedding"][0, :] = 0.0
     return params
-
-
-def zero_grads(params: ParamDict) -> ParamDict:
-    return {name: np.zeros_like(value) for name, value in params.items()}
 
 
 def _sub_params(params: Mapping[str, Tensor], prefix: str) -> ParamDict:
@@ -279,16 +268,19 @@ FUSED_GATES: Mapping[CellKind, tuple[str, ...]] = {
 }
 _SIGMOID_GATES = {CellKind.SRNN: 0, CellKind.LSTM: 3, CellKind.GRU: 2}
 
+# Each cell kind's own activation and its derivative: the simple cell's, or
+# the LSTM/GRU candidate and state activation.
+_CELL_ACTIVATION: Mapping[CellKind, tuple[Callable, Callable]] = {
+    CellKind.SRNN: (relu, _relu_deriv),
+    CellKind.LSTM: (np.tanh, _tanh_deriv),
+    CellKind.GRU: (np.tanh, _tanh_deriv),
+}
+
 # Time steps per input-projection GEMM, and per weight- and input-gradient
 # GEMM in the backward pass. One GEMM over a whole sequence would hold an
 # [L, B, G*H] buffer (262 MB for an LSTM at L=2000, B=64, H=64); a chunk
 # keeps it near 8 MB and still amortises the call over many steps.
 CHUNK_STEPS = 64
-
-
-def _kind_activation(kind: CellKind, hidden_activation: str,
-                     cell_activation: str) -> str:
-    return hidden_activation if kind is CellKind.SRNN else cell_activation
 
 
 def _gate_columns(kind: CellKind, hidden: int) -> dict[str, slice]:
@@ -329,11 +321,10 @@ class DirectionCache:
 
     kind: CellKind
     x: Tensor                      # [L, B, in]
-    h: Tensor                      # [L+1, B, H]; h[0] initial, post-mask states
+    h: Tensor                      # [L+1, B, H]; h[0] initial
     gates: Tensor | None = None    # [L, B, G*H] activated gates, FUSED_GATES order
-    c: Tensor | None = None        # [L+1, B, H] LSTM cell states, post-mask
-    ac: Tensor | None = None       # [L, B, H] LSTM act(c) before masking
-    mask: Tensor | None = None     # [L, B, 1], 1.0 at real tokens
+    c: Tensor | None = None        # [L+1, B, H] LSTM cell states; c[0] initial
+    ac: Tensor | None = None       # [L, B, H] LSTM act(c)
 
 
 def _step_rows(n_rows: int, row_shape: tuple[int, ...], keep: bool) -> Tensor:
@@ -352,15 +343,14 @@ def _step_rows(n_rows: int, row_shape: tuple[int, ...], keep: bool) -> Tensor:
 
 
 def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
-                       activation: str, mask: Tensor | None,
                        h0: Tensor | None = None, c0: Tensor | None = None, *,
                        cached: bool, sequence: bool
                        ) -> tuple[Tensor, Tensor | None, DirectionCache | None]:
     """Run one cell over ``x`` [L, B, in] from ``h0``/``c0`` (zeros by default).
 
-    ``activation`` is the cell's own: the simple cell's, or the LSTM/GRU
-    candidate and state activation. Only ``_layer_forward`` and ``_step``
-    call this; ``x`` and ``mask`` arrive in this direction's processing
+    The cell's activation is its kind's entry in ``_CELL_ACTIVATION``, and
+    every step, padding included, updates the state. Only ``_layer_forward``
+    and ``_step`` call this; ``x`` arrives in this direction's processing
     order.
 
     Returns ``(h, c_last, cache)``. ``h`` is every step's state [L, B, H]
@@ -376,7 +366,7 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
     L, B, n_in = x.shape
     H = p[f"b{FUSED_GATES[kind][0]}"].shape[0] if h0 is None else h0.shape[-1]
     W, U, b = _fuse_params(kind, p, n_in, H)
-    act, _ = _ACTIVATIONS[activation]
+    act, _ = _CELL_ACTIVATION[kind]
     n_sig = _SIGMOID_GATES[kind] * H
     cols = _gate_columns(kind, H)
     h = _step_rows(L + 1, (B, H), cached or sequence)
@@ -396,37 +386,28 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
         for t in range(t0, t0 + xw.shape[0]):
             xw_t, h_prev = xw[t - t0], h[t]
             if kind is CellKind.SRNN:
-                new_h = act(xw_t + matmul(h_prev, U) + b)
+                h[t + 1] = act(xw_t + matmul(h_prev, U) + b)
             elif kind is CellKind.LSTM:
                 pre = xw_t + matmul(h_prev, U) + b
                 g_t = gates[t]
                 g_t[:, :n_sig] = sigmoid(pre[:, :n_sig])
                 g_t[:, n_sig:] = act(pre[:, n_sig:])
                 i, f, o, g = (g_t[:, cols[k]] for k in ("_i", "_f", "_o", "_g"))
-                new_c = f * c[t] + i * g
-                ac[t] = act(new_c)
-                new_h = o * ac[t]
+                c[t + 1] = f * c[t] + i * g
+                ac[t] = act(c[t + 1])
+                h[t + 1] = o * ac[t]
             else:
                 g_t = gates[t]
                 g_t[:, :n_sig] = sigmoid(xw_t[:, :n_sig] + matmul(h_prev, U) + b[:n_sig])
                 z, r, hbar = (g_t[:, cols[k]] for k in ("_z", "_r", "_h"))
                 hbar[:] = act(xw_t[:, n_sig:] + matmul(r * h_prev, p["U_h"]) + b[n_sig:])
-                new_h = (1.0 - z) * h_prev + z * hbar
-            if mask is None:
-                h[t + 1] = new_h
-                if c is not None:
-                    c[t + 1] = new_c
-            else:
-                m = mask[t]
-                h[t + 1] = m * new_h + (1.0 - m) * h_prev
-                if c is not None:
-                    c[t + 1] = m * new_c + (1.0 - m) * c[t]
-    cache = DirectionCache(kind, x, h, gates, c, ac, mask) if cached else None
+                h[t + 1] = (1.0 - z) * h_prev + z * hbar
+    cache = DirectionCache(kind, x, h, gates, c, ac) if cached else None
     return (h[1:] if sequence else h[-1]), (None if c is None else c[-1]), cache
 
 
-def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Tensor],
-                        activation: str) -> tuple[Tensor, ParamDict]:
+def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Tensor]
+                        ) -> tuple[Tensor, ParamDict]:
     """Exact BPTT for one direction; returns (d_inputs [L, B, in], gradients).
 
     ``d_out`` is the gradient of every step's output [L, B, H], or of the
@@ -444,7 +425,7 @@ def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Te
     ``CHUNK_STEPS`` and the values do only by rounding.
     """
     kind = cache.kind
-    _, act_deriv = _ACTIVATIONS[activation]
+    _, act_deriv = _CELL_ACTIVATION[kind]
     L, B, n_in = cache.x.shape
     H = cache.h.shape[2]
     W, U, _ = _fuse_params(kind, p, n_in, H)
@@ -464,8 +445,6 @@ def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Te
         # fac: each gate's pre-activation gradient per unit of its upstream
         # gradient. It depends on the cache alone.
         if kind is CellKind.SRNN:
-            # h[t+1] equals the pre-mask state wherever the mask lets the
-            # gradient through.
             fac = act_deriv(cache.h[t0 + 1:t1 + 1])
         else:
             gates = cache.gates[t0:t1]
@@ -484,35 +463,23 @@ def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Te
 
         for s in range(t1 - t0 - 1, -1, -1):
             t, dp, fs = t0 + s, d_pre[s], fac[s]
-            dh_total = d_out[t] + dh_carry if sequence else dh_carry
-            if cache.mask is None:
-                dh_raw, dc_raw_in = dh_total, dc_carry
-            else:
-                m = cache.mask[t]
-                dh_raw, dh_prev_extra = dh_total * m, dh_total * (1.0 - m)
-                dc_raw_in, dc_prev_extra = dc_carry * m, dc_carry * (1.0 - m)
-
+            dh = d_out[t] + dh_carry if sequence else dh_carry
             if kind is CellKind.SRNN:
-                np.multiply(dh_raw, fs, out=dp)
+                np.multiply(dh, fs, out=dp)
             elif kind is CellKind.LSTM:
-                dc = dc_raw_in + dh_raw * o_dac[s]
+                dc = dc_carry + dh * o_dac[s]
                 # dc scales the i, f and g factors; o's scales dh instead.
                 np.multiply(fs.reshape(B, -1, H), dc[:, None], out=dp.reshape(B, -1, H))
-                dp[:, cols["_o"]] = dh_raw * fs[:, cols["_o"]]
+                dp[:, cols["_o"]] = dh * fs[:, cols["_o"]]
                 dc_carry = dc * f[s]
-                if cache.mask is not None:
-                    dc_carry += dc_prev_extra
             else:  # GRU
-                dp[:, cols["_h"]] = dh_raw * fs[:, cols["_h"]]
+                dp[:, cols["_h"]] = dh * fs[:, cols["_h"]]
                 d_rh = matmul(dp[:, cols["_h"]], p["U_h"].T)
-                dp[:, cols["_z"]] = dh_raw * fs[:, cols["_z"]]
+                dp[:, cols["_z"]] = dh * fs[:, cols["_z"]]
                 dp[:, cols["_r"]] = d_rh * fs[:, cols["_r"]]
-            dh = matmul(dp[:, :n_u], U.T)
+            dh_carry = matmul(dp[:, :n_u], U.T)
             if kind is CellKind.GRU:
-                dh += dh_raw * keep_z[s] + d_rh * r[s]
-            if cache.mask is not None:
-                dh += dh_prev_extra
-            dh_carry = dh
+                dh_carry += dh * keep_z[s] + d_rh * r[s]
 
         rows = d_pre.reshape(-1, W.shape[1])
         dW += matmul(cache.x[t0:t1].reshape(-1, n_in).T, rows)
@@ -530,7 +497,7 @@ def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Te
     return d_x, grads
 
 
-def _step(kind: CellKind, params: Mapping[str, Tensor], activation: str,
+def _step(kind: CellKind, params: Mapping[str, Tensor],
           x_t: Tensor, h_prev: Tensor, c_prev: Tensor | None = None):
     """One step of ``kind`` from ``h_prev`` (and the LSTM's ``c_prev``).
 
@@ -546,38 +513,34 @@ def _step(kind: CellKind, params: Mapping[str, Tensor], activation: str,
     x, h, c = (v[None, :] if v is not None and v.ndim == 1 else v for v in (x, h, c))
     if c is not None and c.shape != h.shape:
         raise DimensionError(f"cell state {c.shape} does not match h_prev {h.shape}")
-    h, c, _ = _direction_forward(x[None], kind, params, activation, None, h, c,
-                                 cached=False, sequence=False)
+    h, c, _ = _direction_forward(x[None], kind, params, h, c, cached=False, sequence=False)
     if squeeze:
         h, c = h[0], (None if c is None else c[0])
     return h if kind is not CellKind.LSTM else (h, c)
 
 
-def srnn_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
-              activation: str = "relu") -> Tensor:
-    """One simple-cell step: act(W x + U h_prev + b); ReLU by default."""
-    return _step(CellKind.SRNN, params, activation, x_t, h_prev)
+def srnn_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor]) -> Tensor:
+    """One simple-cell step: relu(W x + U h_prev + b)."""
+    return _step(CellKind.SRNN, params, x_t, h_prev)
 
 
 def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
-              params: Mapping[str, Tensor],
-              cell_activation: str = "tanh") -> tuple[Tensor, Tensor]:
-    """One LSTM step; gates are logistic sigmoid regardless of configuration."""
-    return _step(CellKind.LSTM, params, cell_activation, x_t, h_prev, c_prev)
+              params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """One LSTM step: logistic sigmoid gates, tanh candidate and state."""
+    return _step(CellKind.LSTM, params, x_t, h_prev, c_prev)
 
 
-def gru_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor],
-             cell_activation: str = "tanh") -> Tensor:
+def gru_step(x_t: Tensor, h_prev: Tensor, params: Mapping[str, Tensor]) -> Tensor:
     """One GRU step with the reset gate applied to h_prev inside U_h."""
-    return _step(CellKind.GRU, params, cell_activation, x_t, h_prev)
+    return _step(CellKind.GRU, params, x_t, h_prev)
 
 
 # ---------------------------------------------------------------------------
 # Layer runner: every direction of one layer, forward and backward
 # ---------------------------------------------------------------------------
 
-def _layer_forward(x: Tensor, layer: RecurrentLayerSpec, activation: str,
-                   dir_params: list[Mapping[str, Tensor]], mask: Tensor | None,
+def _layer_forward(x: Tensor, layer: RecurrentLayerSpec,
+                   dir_params: list[Mapping[str, Tensor]],
                    cached: bool) -> tuple[Tensor, list[DirectionCache | None]]:
     """Run every direction of ``layer`` over time-major ``x`` [L, B, in].
 
@@ -585,17 +548,15 @@ def _layer_forward(x: Tensor, layer: RecurrentLayerSpec, activation: str,
     sequences, else final states [B, width], and one ``_direction_forward``
     cache per direction (None without ``cached``). ``dir_params`` holds one
     parameter set per direction, forward first. The backward direction runs
-    on the reversed inputs and mask; its per-step states are flipped back
-    to input order and joined after the forward direction's on the feature
-    axis. Its final state is the one after it has read the first token.
+    on the reversed inputs; its per-step states are flipped back to input
+    order and joined after the forward direction's on the feature axis. Its
+    final state is the one after it has read the first token.
     """
-    runs = [(x, mask)]
-    if layer.bidirectional:
-        runs.append((x[::-1], None if mask is None else mask[::-1]))
+    runs = [x, x[::-1]] if layer.bidirectional else [x]
     outs, caches = [], []
-    for (x_dir, m_dir), p in zip(runs, dir_params):
-        h, _, cache = _direction_forward(x_dir, layer.kind, p, activation, m_dir,
-                                         cached=cached, sequence=layer.returns_sequence)
+    for x_dir, p in zip(runs, dir_params):
+        h, _, cache = _direction_forward(x_dir, layer.kind, p, cached=cached,
+                                         sequence=layer.returns_sequence)
         outs.append(h)
         caches.append(cache)
     if not layer.bidirectional:
@@ -604,7 +565,7 @@ def _layer_forward(x: Tensor, layer: RecurrentLayerSpec, activation: str,
     return np.concatenate([fwd, bwd[::-1] if layer.returns_sequence else bwd], axis=-1), caches
 
 
-def _layer_backward(d_out: Tensor, layer: RecurrentLayerSpec, activation: str,
+def _layer_backward(d_out: Tensor, layer: RecurrentLayerSpec,
                     dir_params: list[Mapping[str, Tensor]],
                     caches: list[DirectionCache]) -> tuple[Tensor, list[ParamDict]]:
     """Adjoint of ``_layer_forward``: the gradient of its time-major input
@@ -614,42 +575,37 @@ def _layer_backward(d_out: Tensor, layer: RecurrentLayerSpec, activation: str,
         H = layer.hidden_units
         d_bwd = d_out[..., H:]
         d_dirs = [d_out[..., :H], d_bwd[::-1] if layer.returns_sequence else d_bwd]
-    runs = [_direction_backward(d_dir, cache, p, activation)
+    runs = [_direction_backward(d_dir, cache, p)
             for d_dir, cache, p in zip(d_dirs, caches, dir_params)]
     d_x = runs[0][0] if len(runs) == 1 else runs[0][0] + runs[1][0][::-1]
     return d_x, [grads for _, grads in runs]
 
 
 def _layer_args(spec: ModelSpec, params: Mapping[str, Tensor], index: int
-                ) -> tuple[str, list[str], list[ParamDict]]:
-    """Layer ``index``'s cell activation, per-direction parameter prefixes
-    and per-direction parameter sets."""
-    layer = spec.recurrent_stack[index]
-    prefixes = [_prefix(index, direction) for direction in _directions(layer)]
-    return (_kind_activation(layer.kind, spec.hidden_activation, spec.cell_activation),
-            prefixes, [_sub_params(params, prefix) for prefix in prefixes])
+                ) -> tuple[list[str], list[ParamDict]]:
+    """Layer ``index``'s per-direction parameter prefixes and parameter
+    sets."""
+    prefixes = [_prefix(index, direction)
+                for direction in _directions(spec.recurrent_stack[index])]
+    return prefixes, [_sub_params(params, prefix) for prefix in prefixes]
 
 
 def _sequence_forward(inputs: Tensor, layer: RecurrentLayerSpec,
-                      dir_params: list[Mapping[str, Tensor]],
-                      hidden_activation: str, cell_activation: str) -> Tensor:
+                      dir_params: list[Mapping[str, Tensor]]) -> Tensor:
     """``_layer_forward`` without a cache on [L, d] or [B, L, d] inputs;
     per-step outputs come back in the same layout."""
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim not in (2, 3):
         raise DimensionError(f"expected [L, d] or [B, L, d] inputs, got {arr.shape}")
     x = arr[:, None] if arr.ndim == 2 else arr.transpose(1, 0, 2)
-    activation = _kind_activation(layer.kind, hidden_activation, cell_activation)
-    out, _ = _layer_forward(x, layer, activation, dir_params, None, cached=False)
+    out, _ = _layer_forward(x, layer, dir_params, cached=False)
     if layer.returns_sequence:
         out = out.transpose(1, 0, 2)
     return out[0] if arr.ndim == 2 else out
 
 
 def recurrent_forward(inputs: Tensor, layer: RecurrentLayerSpec,
-                      params: Mapping[str, Tensor],
-                      hidden_activation: str = "relu",
-                      cell_activation: str = "tanh") -> Tensor:
+                      params: Mapping[str, Tensor]) -> Tensor:
     """Run a unidirectional layer left-to-right from zero initial state.
 
     ``inputs`` is [L, d] (or [B, L, d]); returns the per-step output
@@ -657,14 +613,12 @@ def recurrent_forward(inputs: Tensor, layer: RecurrentLayerSpec,
     """
     if layer.bidirectional:
         raise DimensionError("use bidirectional_forward for bidirectional layers")
-    return _sequence_forward(inputs, layer, [params], hidden_activation, cell_activation)
+    return _sequence_forward(inputs, layer, [params])
 
 
 def bidirectional_forward(inputs: Tensor, layer: RecurrentLayerSpec,
                           params_fwd: Mapping[str, Tensor],
-                          params_bwd: Mapping[str, Tensor],
-                          hidden_activation: str = "relu",
-                          cell_activation: str = "tanh") -> Tensor:
+                          params_bwd: Mapping[str, Tensor]) -> Tensor:
     """Concatenate a left-to-right pass and a right-to-left pass.
 
     Per-step outputs are [fwd_t, bwd_t]; the final-state form concatenates
@@ -672,8 +626,7 @@ def bidirectional_forward(inputs: Tensor, layer: RecurrentLayerSpec,
     """
     if not layer.bidirectional:
         raise DimensionError("layer.bidirectional must be true")
-    return _sequence_forward(inputs, layer, [params_fwd, params_bwd], hidden_activation,
-                             cell_activation)
+    return _sequence_forward(inputs, layer, [params_fwd, params_bwd])
 
 
 # ---------------------------------------------------------------------------
@@ -731,21 +684,17 @@ def _forward(seq: Tensor, spec: ModelSpec, params: Mapping[str, Tensor],
     squeezed = ids.ndim == 1
     if squeezed:
         ids = ids[None, :]
-    mask = (ids.T != 0).astype(np.float64)[:, :, None] if spec.mask_padding else None
     cache = ForwardCache(ids=ids) if keep_cache else None
 
     x = embedding_forward(ids.T, params["embedding"])
     for i, layer in enumerate(spec.recurrent_stack):
-        activation, _, dir_params = _layer_args(spec, params, i)
-        x, caches = _layer_forward(x, layer, activation, dir_params, mask, keep_cache)
+        _, dir_params = _layer_args(spec, params, i)
+        x, caches = _layer_forward(x, layer, dir_params, keep_cache)
         if cache is not None:
             cache.layers.append(caches)
 
-    hidden = None
-    if spec.use_dense_hidden:
-        act, _ = _ACTIVATIONS[spec.hidden_activation]
-        hidden = act(matmul(x, params["dense_hidden.W"]) + params["dense_hidden.b"])
-    logits = matmul(x if hidden is None else hidden, params["output.W"]) + params["output.b"]
+    hidden = relu(matmul(x, params["dense_hidden.W"]) + params["dense_hidden.b"])
+    logits = matmul(hidden, params["output.W"]) + params["output.b"]
     probs = softmax(logits, axis=-1)
     if cache is not None:
         cache.features, cache.hidden, cache.probs = x, hidden, probs
@@ -772,24 +721,19 @@ def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
         raise DimensionError(
             f"labels {onehot.shape} do not match probabilities {cache.probs.shape}"
         )
-    grads = zero_grads(params)
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
 
     d_logits = (cache.probs - onehot) / B
-    head_in = cache.hidden if spec.use_dense_hidden else cache.features
-    grads["output.W"] += matmul(head_in.T, d_logits)
+    grads["output.W"] += matmul(cache.hidden.T, d_logits)
     grads["output.b"] += d_logits.sum(axis=0)
-    d_feat = matmul(d_logits, params["output.W"].T)
-    if spec.use_dense_hidden:
-        _, act_deriv = _ACTIVATIONS[spec.hidden_activation]
-        d_pre = d_feat * act_deriv(cache.hidden)
-        grads["dense_hidden.W"] += matmul(cache.features.T, d_pre)
-        grads["dense_hidden.b"] += d_pre.sum(axis=0)
-        d_feat = matmul(d_pre, params["dense_hidden.W"].T)
+    d_pre = matmul(d_logits, params["output.W"].T) * _relu_deriv(cache.hidden)
+    grads["dense_hidden.W"] += matmul(cache.features.T, d_pre)
+    grads["dense_hidden.b"] += d_pre.sum(axis=0)
 
-    d_next: Tensor = d_feat  # gradient flowing into the layer below
+    d_next = matmul(d_pre, params["dense_hidden.W"].T)  # into the layer below
     for i in range(len(spec.recurrent_stack) - 1, -1, -1):
-        activation, prefixes, dir_params = _layer_args(spec, params, i)
-        d_next, dir_grads = _layer_backward(d_next, spec.recurrent_stack[i], activation,
+        prefixes, dir_params = _layer_args(spec, params, i)
+        d_next, dir_grads = _layer_backward(d_next, spec.recurrent_stack[i],
                                             dir_params, cache.layers[i])
         for prefix, g in zip(prefixes, dir_grads):
             for name, value in g.items():

@@ -165,8 +165,9 @@ class Vocabulary:
         """Index for ``token``; unknown tokens map to the OOV index."""
         return self._index_of.get(token, OOV_INDEX)
 
-    def token_of(self, index: int) -> str | None:
-        """Inverse lookup; ``None`` for the reserved indices."""
+    def token_of(self, index: int) -> str:
+        """Inverse lookup; ``IndexError`` for the reserved indices 0 and 1
+        and for an index past the vocabulary."""
         if index < 2 or index >= self.size:
             raise IndexError(f"index {index} outside vocabulary of size {self.size}")
         return self.tokens[index - 2]

@@ -36,8 +36,7 @@ _LAYER_TOKENS = {
 def build_spec(name: str,
                embedding_dim: int = DEFAULT_EMBEDDING_DIM,
                hidden_units: int = DEFAULT_HIDDEN_UNITS,
-               dense_hidden_units: int = DEFAULT_DENSE_HIDDEN_UNITS,
-               **overrides) -> ModelSpec:
+               dense_hidden_units: int = DEFAULT_DENSE_HIDDEN_UNITS) -> ModelSpec:
     """ModelSpec for one zoo name; layers stack in name order."""
     tokens = name.split("-")
     try:
@@ -60,16 +59,14 @@ def build_spec(name: str,
         embedding_dim=embedding_dim,
         recurrent_stack=stack,
         dense_hidden_units=dense_hidden_units,
-        **overrides,
     )
 
 
 def model_zoo(embedding_dim: int = DEFAULT_EMBEDDING_DIM,
               hidden_units: int = DEFAULT_HIDDEN_UNITS,
-              dense_hidden_units: int = DEFAULT_DENSE_HIDDEN_UNITS,
-              **overrides) -> list[ModelSpec]:
+              dense_hidden_units: int = DEFAULT_DENSE_HIDDEN_UNITS) -> list[ModelSpec]:
     """All ten specs in canonical order."""
     return [
-        build_spec(name, embedding_dim, hidden_units, dense_hidden_units, **overrides)
+        build_spec(name, embedding_dim, hidden_units, dense_hidden_units)
         for name in ZOO_NAMES
     ]

@@ -213,9 +213,17 @@ class TestMalformedHeader:
         (_set_spec("recurrent_stack", []), "recurrent_stack"),
         (_set_tensor("output.b", "offset", 10**6), "offset"),
         (_set_tensor("output.b", "shape", 4), "TypeError"),
+        # The skeleton's fixed values: any other value is refused by name.
+        (_set_spec("num_classes", 3), "num_classes is fixed"),
+        (_set_spec("hidden_activation", "tanh"), "hidden_activation is fixed"),
+        (_set_spec("cell_activation", "relu"), "cell_activation is fixed"),
+        (_set_spec("use_dense_hidden", False), "use_dense_hidden is fixed"),
+        (_set_spec("mask_padding", True), "mask_padding is fixed"),
     ], ids=["list", "no-version", "no-spec", "no-fingerprint", "no-dtype", "no-bytes",
             "no-tensors", "float16", "dropped-tensor", "wrong-shape", "renamed-tensor",
-            "spec-width", "empty-stack", "offset-past-blob", "shape-not-list"])
+            "spec-width", "empty-stack", "offset-past-blob", "shape-not-list",
+            "fixed-num_classes", "fixed-hidden_activation", "fixed-cell_activation",
+            "fixed-use_dense_hidden", "fixed-mask_padding"])
     def test_malformed_header(self, tmp_path, spec_and_params, edit, match):
         spec, params = spec_and_params
         path = tmp_path / "model.nsck"

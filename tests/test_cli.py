@@ -2,6 +2,7 @@
 speed with one subprocess smoke test for the installed entry point.
 """
 
+import csv
 import json
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from narrative_seq import dataset_io, harness
 from narrative_seq.checkpoint import save_checkpoint
 from narrative_seq.cli import main
+from narrative_seq.errors import NumericError
 from narrative_seq.neural_layers import init_params
 from narrative_seq.tensor_core import SeededRng
 from narrative_seq.zoo import build_spec
@@ -24,6 +26,18 @@ from narrative_seq.synthetic import generate_fixture_corpus, records_to_json
 def corpus_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_corpus") / "corpus.json"
     path.write_text(records_to_json(generate_fixture_corpus()), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def csv_corpus_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_csv_corpus") / "corpus.csv"
+    with path.open("w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["report_id", "narrative", "damage_level", "investigation_complete"])
+        for r in generate_fixture_corpus():
+            writer.writerow([r.report_id, r.narrative, r.damage_level.display_name,
+                             str(r.investigation_complete).lower()])
     return path
 
 
@@ -271,10 +285,14 @@ def _command_argv(command, out, corpus_file, encoded_dir, model_file):
     ("train", [], {"bogus": 1}, "bogus"),
     ("evaluate", [], {"bogus": 1}, "bogus"),
     ("compare", [], {"bogus": 1}, "bogus"),
+    # Valid fractions that leave the evaluated split empty.
+    ("evaluate", ["--split", "validation"], {"validation_fraction_of_train": 0.0},
+     "validation_fraction_of_train"),
+    ("compare", [], {"test_fraction": 0.0}, "test_fraction"),
 ], ids=["epochs-0", "batch-0", "seed-negative", "seq_len-0", "vocab_size-0", "vocab_size-1",
         "test_fraction-1.5", "pad-middle", "stoplist-missing", "epochs-str", "epochs-float",
         "reval-int", "ingest-bogus", "preprocess-bogus", "train-bogus", "evaluate-bogus",
-        "compare-bogus"])
+        "compare-bogus", "evaluate-empty-validation", "compare-empty-test"])
 def test_invalid_config_is_data_error(tmp_path, corpus_file, encoded_dir, model_file,
                                       capsys, command, flags, values, key):
     # Exit 2 naming the key, and nothing written.
@@ -335,6 +353,28 @@ def test_train_rejects_out_before_training(tmp_path, encoded_dir, monkeypatch, c
     assert afile.read_text(encoding="utf-8") == "not a directory"
 
 
+def test_compare_prints_only_this_runs_table(tmp_path, encoded_dir, monkeypatch, capsys):
+    # A rerun into the same --out whose every model fails must not print
+    # the table the earlier run left there.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, epochs=1)))
+    out = tmp_path / "cmp"
+    argv = ["--config", str(config), "compare", "--data", str(encoded_dir),
+            "--out", str(out), "--models", "sRNN"]
+    assert run_cli(*argv) == 0
+    table = (out / harness.RESULTS_TABLE_FILENAME).read_text(encoding="utf-8")
+    assert table in capsys.readouterr().out
+
+    def diverge(*args):
+        raise NumericError("non-finite loss")
+
+    monkeypatch.setattr(harness, "train_model", diverge)
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().out == f"0/1 models completed; manifest in {out}\n"
+    manifest = json.loads((out / harness.MANIFEST_FILENAME).read_text(encoding="utf-8"))
+    assert manifest["files"] == {}
+
+
 def test_train_rejects_sidecar_of_another_vocabulary(tmp_path, corpus_file, monkeypatch,
                                                      capsys):
     # The sidecar of a 50-entry vocabulary next to a larger dataset: the
@@ -366,15 +406,40 @@ def test_corrupt_dataset_file_exits_0_or_2(tmp_path_factory, encoded_dir, model_
     corrupt = tmp_path_factory.mktemp("corrupt")
     for f in (dataset_io.ENCODED_FILENAME, dataset_io.VOCAB_FILENAME):
         shutil.copy(encoded_dir / f, corrupt / f)
-    raw = bytearray((encoded_dir / name).read_bytes())
-    # The first bytes hold the .nseq header and the sidecar's reserved rows.
+    (corrupt / name).write_bytes(_corrupted((encoded_dir / name).read_bytes(), data))
+    assert main(["evaluate", "--model-file", str(model_file), "--data", str(corrupt)]) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_corrupt_corpus_exits_0_or_2(tmp_path_factory, corpus_file, csv_corpus_file,
+                                     fmt, data):
+    # A truncated corpus or one changed byte either still ingests and
+    # preprocesses or is a data error; no exception escapes cli.main.
+    source = corpus_file if fmt == "json" else csv_corpus_file
+    corrupt = tmp_path_factory.mktemp("corrupt_corpus")
+    path = corrupt / source.name
+    path.write_bytes(_corrupted(source.read_bytes(), data))
+    assert main(["ingest", "--data", str(path)]) in (0, 2)
+    assert main(["preprocess", "--data", str(path), "--out", str(corrupt / "enc"),
+                 "--seq-len", "16", "--vocab-size", "100"]) in (0, 2)
+
+
+def _corrupted(raw: bytes, data) -> bytes:
+    """``raw`` truncated at, or with one changed byte at, a drawn position.
+
+    Positions favour the first 64 bytes, which hold the .nseq header, the
+    sidecar's reserved rows and a corpus's header or first record.
+    """
+    raw = bytearray(raw)
     pos = data.draw(st.integers(0, 63) | st.integers(0, len(raw) - 1), label="pos")
     if data.draw(st.booleans(), label="truncate"):
         del raw[pos:]
     else:
         raw[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]), label="byte")
-    (corrupt / name).write_bytes(bytes(raw))
-    assert main(["evaluate", "--model-file", str(model_file), "--data", str(corrupt)]) in (0, 2)
+    return bytes(raw)
 
 
 def _history_epochs(out):

@@ -1,7 +1,7 @@
-"""Finite-difference checks for the variants outside the acceptance grid:
-padding masks, disabled dense head, tanh simple cells, sequences that
-contain real padding ids, and sequences longer than one backward chunk. The
-full kind/direction/depth grid runs in test_acceptance.py.
+"""Finite-difference checks outside the acceptance grid: a mixed two-layer
+stack, batched gradients, and sequences with padding ids that are longer
+than one backward chunk. The full kind/direction/depth grid runs in
+test_acceptance.py.
 
 The backward pass works in chunks of ``neural_layers.CHUNK_STEPS`` steps, so
 the last tests pin what chunking must not change: gradients that do not
@@ -28,25 +28,12 @@ IDS = np.array([1, 4, 0, 7, 0], dtype=np.uint32)  # includes padding ids
 LABEL = one_hot(DamageLabel.SUBSTANTIAL)
 
 
-def _check(name, seed, ids=IDS, **overrides):
-    spec = build_spec(name, embedding_dim=3, hidden_units=4, dense_hidden_units=4,
-                      **overrides)
+def _check(name, seed, ids=IDS):
+    spec = build_spec(name, embedding_dim=3, hidden_units=4, dense_hidden_units=4)
     params = init_params(spec, 10, SeededRng(seed, 2))
     worst, where = max_relative_error(spec, params, ids, LABEL)
     assert worst < TOL, f"{name}: rel err {worst:.2e} at {where}"
 
-
-def test_masked_padding_joint_stack():
-    _check("GRU-BLSTM-sRNN", seed=101, mask_padding=True)
-
-def test_masked_padding_lstm():
-    _check("LSTM", seed=102, mask_padding=True)
-
-def test_no_dense_hidden():
-    _check("GRU", seed=103, use_dense_hidden=False)
-
-def test_tanh_simple_cell():
-    _check("sRNN", seed=104, hidden_activation="tanh")
 
 def test_mixed_two_layer_joint_stack():
     _check("sRNN-LSTM", seed=105)
@@ -80,12 +67,11 @@ def _chunk_crossing_ids(length):
 def test_masked_gradient_across_chunks(name, seed):
     # Two chunks, the second one partial and padded; the bidirectional
     # layer's backward direction meets that padding in its first chunk.
-    _check(name, seed, ids=_chunk_crossing_ids(CHUNK_STEPS + 3), mask_padding=True)
+    _check(name, seed, ids=_chunk_crossing_ids(CHUNK_STEPS + 3))
 
 
 def _zoo_gradients(name, ids, labels):
-    spec = build_spec(name, embedding_dim=3, hidden_units=4, dense_hidden_units=4,
-                      mask_padding=True)
+    spec = build_spec(name, embedding_dim=3, hidden_units=4, dense_hidden_units=4)
     params = init_params(spec, 10, SeededRng(110, 2))
     _, cache = model_forward(ids, spec, params)
     return model_backward(cache, labels, spec, params)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -52,9 +51,9 @@ def _affine_scalar(x, h, W, U, b, j):
     return s
 
 
-def oracle_srnn_step(x, h_prev, p, act):
+def oracle_srnn_step(x, h_prev, p):
     return [
-        act(_affine_scalar(x, h_prev, p["W"], p["U"], p["b"], j))
+        max(0.0, _affine_scalar(x, h_prev, p["W"], p["U"], p["b"], j))
         for j in range(len(p["b"]))
     ]
 
@@ -93,7 +92,7 @@ def _oracle_unroll(kind, x_seq, p):
     states = []
     for x_t in x_seq.tolist():
         if kind is CellKind.SRNN:
-            h = oracle_srnn_step(x_t, h, plist, lambda v: max(0.0, v))
+            h = oracle_srnn_step(x_t, h, plist)
         elif kind is CellKind.LSTM:
             h, c = oracle_lstm_step(x_t, h, c, plist)
         else:
@@ -122,8 +121,7 @@ class TestSrnnStep:
             srnn_step(np.array([-1.0, 2.0]), np.zeros(2), p), [0.0, 2.0]
         )
 
-    @pytest.mark.parametrize("act,fn", [("relu", lambda v: max(0.0, v)), ("tanh", math.tanh)])
-    def test_matches_scalar_oracle(self, act, fn):
+    def test_matches_scalar_oracle(self):
         rng = SeededRng(13)
         p = {
             "W": rng.uniform((3, 4), -0.8, 0.8),
@@ -133,8 +131,8 @@ class TestSrnnStep:
         x = rng.uniform((3,), -1, 1)
         h_prev = rng.uniform((4,), -1, 1)
         expected = oracle_srnn_step(x.tolist(), h_prev.tolist(),
-                                    {k: v.tolist() for k, v in p.items()}, fn)
-        npt.assert_allclose(srnn_step(x, h_prev, p, activation=act), expected, atol=1e-14)
+                                    {k: v.tolist() for k, v in p.items()})
+        npt.assert_allclose(srnn_step(x, h_prev, p), expected, atol=1e-14)
 
     def test_dimension_mismatch(self):
         p = {"W": np.zeros((3, 4)), "U": np.zeros((4, 4)), "b": np.zeros(4)}
@@ -328,10 +326,9 @@ class TestLayerRunner:
         def sub(prefix):
             return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
-        acts = (spec.hidden_activation, spec.cell_activation)
-        seq = recurrent_forward(emb, gru, sub("layer0."), *acts)
+        seq = recurrent_forward(emb, gru, sub("layer0."))
         assert np.array_equal(seq, cache.layers[0][0].h[1:].transpose(1, 0, 2))
-        out = bidirectional_forward(seq, blstm, sub("layer1.fwd."), sub("layer1.bwd."), *acts)
+        out = bidirectional_forward(seq, blstm, sub("layer1.fwd."), sub("layer1.bwd."))
         assert np.array_equal(out, cache.features)
 
     def test_only_the_runner_drives_the_direction_kernels(self):
@@ -381,13 +378,9 @@ class TestEmbedding:
 
 
 class TestPredictProba:
-    @pytest.mark.parametrize("mask_padding", [False, True])
     @pytest.mark.parametrize("name", ZOO_NAMES)
-    def test_bit_identical_to_model_forward(self, name, mask_padding):
-        spec = dataclasses.replace(
-            build_spec(name, embedding_dim=3, hidden_units=4, dense_hidden_units=5),
-            mask_padding=mask_padding,
-        )
+    def test_bit_identical_to_model_forward(self, name):
+        spec = build_spec(name, embedding_dim=3, hidden_units=4, dense_hidden_units=5)
         params = init_params(spec, 20, SeededRng(41, 2))
         # Longer than one input-projection chunk, with trailing padding.
         ids = np.random.default_rng(5).integers(1, 20, size=(3, 70))
@@ -557,12 +550,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(name="bad", embedding_dim=4, recurrent_stack=bad,
                       dense_hidden_units=4)
-
-    def test_num_classes_fixed(self):
-        stack = (RecurrentLayerSpec(CellKind.GRU, 4),)
-        with pytest.raises(ValueError):
-            ModelSpec(name="x", embedding_dim=4, recurrent_stack=stack,
-                      dense_hidden_units=4, num_classes=3)
 
     def test_round_trips_through_dict(self):
         spec = build_spec("GRU-BLSTM-sRNN", embedding_dim=8, hidden_units=6,
