@@ -14,8 +14,12 @@ invalid values exit 2, like any other data error.
 The subcommands are thin: ``train`` and ``compare`` train and save through
 ``harness.train_and_save``, ``train`` and ``evaluate`` read their dataset
 directory through ``harness.read_dataset_dir``, and ``evaluate`` scores
-through ``harness.evaluate_on``. An ``--out`` that cannot be a directory
-exits 2 before any training starts.
+through ``harness.evaluate_on``. Every named split comes from
+``harness.split_indices``: an empty split exits 2 naming its fraction's key
+before anything is written. ``train`` checks the validation split,
+``compare`` the validation and test splits and ``evaluate`` the split it
+scores. An ``--out`` that cannot be a directory exits 2 before any training
+starts.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .corpus_ingest import class_distribution, filter_completed, load_reports
 from .errors import CheckpointError, DataError, NumericError
 from .evaluation import format_evaluation_summary
 from .text_pipeline import load_stoplist, preprocess_corpus
-from .training import split_dataset
 
 
 class _UsageError(Exception):
@@ -73,15 +76,11 @@ def _build_parser() -> _Parser:
     _add_train_flags(p)
     # SUPPRESS: when absent, the subparser must not reset a global --seed.
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--reval-per-epoch", action="store_true", default=None,
-                   dest="revalidate_per_epoch",
-                   help="re-draw the validation holdout every epoch")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset split")
     p.add_argument("--model-file", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "validation", "test", "all"),
-                   default="test")
+    p.add_argument("--split", choices=harness.SPLIT_NAMES, default="test")
     p.add_argument("--out")
 
     p = sub.add_parser("compare", help="train and evaluate a set of zoo models")
@@ -162,6 +161,7 @@ def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
 
 def _cmd_train(args, config: harness.ExperimentConfig) -> int:
     dataset, fingerprint = harness.read_dataset_dir(args.data)
+    harness.split_indices(len(dataset), config.split, "validation")
     spec, _, history = harness.train_and_save(args.model, config, dataset, fingerprint,
                                               args.out)
     last = history[-1]
@@ -174,23 +174,14 @@ def _cmd_train(args, config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
-    import numpy as np
-
     dataset, fingerprint = harness.read_dataset_dir(args.data)
     spec, params = load_checkpoint(args.model_file, fingerprint)
     rows = params["embedding"].shape[0]
     if rows != dataset.vocab_size:
         raise CheckpointError(f"{args.model_file}: embedding has {rows} rows, but the "
                               f"dataset's vocabulary size is {dataset.vocab_size}")
-    train_idx, val_idx, test_idx = split_dataset(len(dataset), config.split)
-    indices = {
-        "train": train_idx,
-        "validation": val_idx,
-        "test": test_idx,
-        "all": np.arange(len(dataset)),
-    }[args.split]
-    harness.require_records(args.split, indices, config.split)
-    report = harness.evaluate_on(spec, params, dataset, indices, batch_size=64)
+    indices = harness.split_indices(len(dataset), config.split, args.split)
+    report = harness.evaluate_on(spec, params, dataset, indices)
     print(f"{spec.name} on the {args.split} split ({indices.size} records)")
     print(format_evaluation_summary(report), end="")
     if args.out:
@@ -206,7 +197,7 @@ def _cmd_compare(args, config: harness.ExperimentConfig) -> int:
     if not config.output_dir:
         raise _UsageError("compare needs --out or output_dir in the config file")
     manifest = harness.run_experiment(config)
-    # A table left by an earlier run in the same directory is not this run's.
+    # The manifest lists the table only when a model of this run succeeded.
     if harness.RESULTS_TABLE_FILENAME in manifest["files"]:
         table = Path(config.output_dir) / harness.RESULTS_TABLE_FILENAME
         print(table.read_text(encoding="utf-8"), end="")

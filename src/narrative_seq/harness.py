@@ -13,6 +13,10 @@ checkpoint and history: ``run_experiment`` calls it per model, and the
 training, so an unusable output path fails fast. Every artifact is written
 through ``dataset_io.write_atomic`` (JSON through ``write_json``), so an
 interrupted run leaves each file whole or absent.
+
+``split_indices`` is the one lookup from a split name to its record
+indices; it refuses a split the fractions leave empty. ``evaluate_on`` is
+the one scoring path of ``evaluate`` and ``compare``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .training import (
     split_dataset,
     train_model,
 )
+
+SPLIT_NAMES = ("train", "validation", "test", "all")
 
 CHECKPOINT_FILENAME = "checkpoint.nsck"
 HISTORY_FILENAME = "history.csv"
@@ -86,8 +92,9 @@ _TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in ("tr
 CONFIG_KEYS = frozenset(_TOP_KEYS + _TRAIN_KEYS + _SPLIT_KEYS)
 
 # JSON types accepted per field annotation (a string: these modules use
-# postponed annotations). An int may stand for a float; a bool is not a number.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+# postponed annotations). An int may stand for a float; no field is a bool,
+# and a bool is never accepted for a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str,
                "str | None": (str, type(None)), "tuple[str, ...]": (list, tuple)}
 _FIELD_TYPES = {f.name: f.type for cls in (TrainConfig, SplitSpec, ExperimentConfig)
                 for f in fields(cls)}
@@ -105,8 +112,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise DataError(f"unknown config keys {sorted(unknown)}")
     for key, value in data.items():
         annotation = _FIELD_TYPES[key]
-        if (isinstance(value, bool) != (annotation == "bool")
-                or not isinstance(value, _JSON_TYPES[annotation])):
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[annotation]):
             raise DataError(f"config key {key!r} must be {annotation}, got {value!r}")
     top = {k: data[k] for k in _TOP_KEYS if k in data}
     if "model_names" in top:
@@ -207,21 +213,25 @@ def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.Enco
 
 
 # The config key that sizes each split that can come out empty; the train
-# split always keeps at least one record.
+# and all splits always keep at least one record.
 _SPLIT_FRACTION_KEYS = {"validation": "validation_fraction_of_train", "test": "test_fraction"}
 
 
-def require_records(split: str, indices: np.ndarray, spec: SplitSpec) -> None:
-    """A ``DataError`` naming the config key when the ``split`` split is empty."""
+def split_indices(n: int, spec: SplitSpec, name: str) -> np.ndarray:
+    """The record indices of split ``name`` (one of ``SPLIT_NAMES``) of an
+    ``n``-record dataset; a ``DataError`` naming the config key when the
+    fractions leave that split empty."""
+    indices = dict(zip(SPLIT_NAMES, (*split_dataset(n, spec), np.arange(n))))[name]
     if indices.size == 0:
-        key = _SPLIT_FRACTION_KEYS[split]
-        raise DataError(f"the {split} split holds no records with {key} {getattr(spec, key)!r}")
+        key = _SPLIT_FRACTION_KEYS[name]
+        raise DataError(f"the {name} split holds no records with {key} {getattr(spec, key)!r}")
+    return indices
 
 
-def evaluate_on(spec, params, dataset, indices, batch_size: int) -> MetricsReport:
+def evaluate_on(spec, params, dataset, indices) -> MetricsReport:
     """The metrics report of the model over the records at ``indices``."""
     idx = np.asarray(indices)
-    preds, _ = score_records(spec, params, dataset, idx, batch_size)
+    preds, _ = score_records(spec, params, dataset, idx)
     return compute_metrics(confusion_matrix(preds, dataset.labels[idx]))
 
 
@@ -229,12 +239,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Train, evaluate, and serialize every selected model; returns the
     manifest that was also written to the output directory.
 
-    The dataset is read and its test split checked before the output
-    directory is created, so a run that cannot evaluate trains nothing.
+    The dataset is read and its validation and test splits checked before
+    the output directory is created, so a run that cannot validate or
+    evaluate trains nothing. When no model succeeds, a results table and
+    CSV left by an earlier run in the same directory are removed, so the
+    directory's results are this run's.
     """
     dataset, fingerprint = read_dataset_dir(config.data_path)
-    _, _, test_idx = split_dataset(len(dataset), config.split)
-    require_records("test", test_idx, config.split)
+    split_indices(len(dataset), config.split, "validation")
+    test_idx = split_indices(len(dataset), config.split, "test")
     out_dir = make_output_dir(config.output_dir)
 
     def run_one(name: str) -> dict:
@@ -242,7 +255,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             spec, params, _ = train_and_save(name, config, dataset, fingerprint, out_dir / name)
         except NumericError as exc:
             return {"name": name, "status": "failed", "error": str(exc)}
-        report = evaluate_on(spec, params, dataset, test_idx, config.train.batch_size)
+        report = evaluate_on(spec, params, dataset, test_idx)
         write_json(out_dir / name / METRICS_FILENAME, report.to_dict())
         return {
             "name": name,
@@ -264,6 +277,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         dataset_io.write_atomic(out_dir / RESULTS_TABLE_FILENAME, table_text.encode("utf-8"))
         dataset_io.write_atomic(out_dir / RESULTS_CSV_FILENAME, csv_text.encode("utf-8"))
         written += [RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME]
+    else:
+        for stale in (RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME):
+            (out_dir / stale).unlink(missing_ok=True)
 
     manifest = {
         "config": {

@@ -8,7 +8,7 @@ backpropagation bugs.
 
 Random generation uses the Philox counter-based bit generator so that a given
 seed produces bit-identical draw sequences on every platform and in every
-process. The family is fixed and versioned; changing it is a format break.
+process. The family is fixed; changing it is a format break.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ import numpy as np
 from .errors import DimensionError
 
 Tensor = np.ndarray
-
-PRNG_FAMILY = "philox4x64"
-PRNG_VERSION = 1
 
 
 class SeededRng:
@@ -39,10 +36,6 @@ class SeededRng:
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, *stream]))
         )
-
-    @property
-    def algorithm(self) -> str:
-        return f"{PRNG_FAMILY}/v{PRNG_VERSION}"
 
     def uniform(self, shape: tuple[int, ...], low: float, high: float) -> Tensor:
         """I.i.d. Uniform(low, high) draws; consumes product(shape) draws."""

@@ -124,14 +124,10 @@ def lemmatize(tokens: Sequence[str], exceptions: Mapping[str, str] | None = None
     return [_lemmatize_token(t, table) for t in tokens]
 
 
-def process_narrative(
-    text: str,
-    stoplist: frozenset[str] | set[str] | None = None,
-    exceptions: Mapping[str, str] | None = None,
-) -> list[str]:
+def process_narrative(text: str, stoplist: frozenset[str] | set[str] | None = None) -> list[str]:
     """Full token pipeline for one narrative in the fixed stage order."""
     stop = default_stoplist() if stoplist is None else stoplist
-    return lemmatize(remove_stopwords(tokenize(text), stop), exceptions)
+    return lemmatize(remove_stopwords(tokenize(text), stop))
 
 
 @dataclass(frozen=True)
@@ -255,14 +251,13 @@ def preprocess_corpus(
     seq_len: int = DEFAULT_SEQUENCE_LENGTH,
     stoplist: frozenset[str] | set[str] | None = None,
     pad: str = "post",
-    exceptions: Mapping[str, str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, Vocabulary]:
     """Encode a whole corpus: (sequences [n, seq_len], labels [n], vocabulary).
 
     The vocabulary is built on the processed tokens of exactly these records,
     so encoding is self-consistent with the returned vocabulary.
     """
-    token_lists = [process_narrative(r.narrative, stoplist, exceptions) for r in records]
+    token_lists = [process_narrative(r.narrative, stoplist) for r in records]
     vocab = build_vocabulary(token_lists, max_size=vocab_size)
     sequences = np.stack(
         [encode_sequence(tokens, vocab, length=seq_len, pad=pad) for tokens in token_lists]

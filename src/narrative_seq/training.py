@@ -1,9 +1,9 @@
 """Dataset splitting, categorical cross-entropy, Adam, and the training loop.
 
 The split is a seeded permutation carved into 80/20 train/test, with 10% of
-the train portion held out for validation. By default the holdout is drawn
-once and evaluated every epoch so curves are comparable across epochs; the
-``revalidate_per_epoch`` option re-draws it each epoch instead.
+the train portion held out for validation. The holdout is drawn once and
+scored after every epoch, so curves are comparable across epochs and no
+validation record is ever trained on.
 
 Gradients are reduced as the batch mean, clipped to a global norm, then fed
 to Adam with bias correction. Everything is deterministic given the config
@@ -34,11 +34,14 @@ from .text_pipeline import labels_to_one_hot
 
 LOSS_FLOOR = 1e-12
 
+# Records per forward-only scoring batch: epoch-end history, evaluate and
+# compare all score through score_records at this size.
+SCORE_BATCH = 64
+
 # Substream tags for SeededRng; fixed so runs stay reproducible.
 _TAG_SPLIT = 1
 _TAG_INIT = 2
 _TAG_SHUFFLE = 3
-_TAG_HOLDOUT = 4
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     clip_norm: float = 5.0
     seed: int = 0
-    revalidate_per_epoch: bool = False
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "learning_rate", "clip_norm", "epsilon"):
@@ -185,16 +187,15 @@ def adam_update(params: ParamDict, grads: ParamDict, state: AdamState,
 
 
 def score_records(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
-                  indices: Sequence[int] | np.ndarray,
-                  batch_size: int) -> tuple[np.ndarray, float]:
+                  indices: Sequence[int] | np.ndarray) -> tuple[np.ndarray, float]:
     """(predicted classes [n], summed floored cross-entropy) of frozen params
-    over the given record indices, scored ``batch_size`` records at a time
+    over the given record indices, scored ``SCORE_BATCH`` records at a time
     through the forward-only ``predict_proba``."""
     idx = np.asarray(indices)
     preds = np.empty(idx.size, dtype=np.int64)
     total_loss = 0.0
-    for start in range(0, idx.size, batch_size):
-        chunk = idx[start:start + batch_size]
+    for start in range(0, idx.size, SCORE_BATCH):
+        chunk = idx[start:start + SCORE_BATCH]
         labels = dataset.labels[chunk].astype(np.int64)
         probs = predict_proba(dataset.sequences[chunk], spec, params)
         p_true = probs[np.arange(chunk.size), labels]
@@ -204,13 +205,12 @@ def score_records(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
 
 
 def evaluate_model(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
-                   indices: Sequence[int] | np.ndarray,
-                   batch_size: int = 64) -> tuple[float, float]:
+                   indices: Sequence[int] | np.ndarray) -> tuple[float, float]:
     """(mean loss, accuracy) of frozen params over the given record indices."""
     idx = np.asarray(indices)
     if idx.size == 0:
         return 0.0, 0.0
-    preds, total_loss = score_records(spec, params, dataset, idx, batch_size)
+    preds, total_loss = score_records(spec, params, dataset, idx)
     correct = int(np.sum(preds == dataset.labels[idx]))
     return total_loss / idx.size, correct / idx.size
 
@@ -224,28 +224,14 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
     batch-mean loss, clip, apply Adam, then evaluate train and validation
     loss/accuracy.
     """
-    if len(dataset) == 0:
-        raise DataError("cannot train on an empty dataset")
     train_idx, val_idx, _ = split_dataset(len(dataset), split)
     params = init_params(spec, dataset.vocab_size, SeededRng(config.seed, _TAG_INIT))
     state = AdamState.initialize(params)
     history: TrainingHistory = []
-    holdout_pool = np.concatenate([train_idx, val_idx])
 
     for epoch in range(config.epochs):
-        if config.revalidate_per_epoch:
-            perm = SeededRng(config.seed, _TAG_HOLDOUT, epoch).permutation(
-                holdout_pool.size
-            )
-            shuffled = holdout_pool[perm]
-            n_val = int(shuffled.size * split.validation_fraction_of_train)
-            epoch_val = shuffled[shuffled.size - n_val:]
-            epoch_train = shuffled[: shuffled.size - n_val]
-        else:
-            epoch_train, epoch_val = train_idx, val_idx
-
-        order = epoch_train[
-            SeededRng(config.seed, _TAG_SHUFFLE, epoch).permutation(epoch_train.size)
+        order = train_idx[
+            SeededRng(config.seed, _TAG_SHUFFLE, epoch).permutation(train_idx.size)
         ]
         for batch_no, start in enumerate(range(0, order.size, config.batch_size)):
             batch = order[start:start + config.batch_size]
@@ -265,8 +251,8 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
             # long seq_len.
             del cache, grads
 
-        train_loss, train_acc = evaluate_model(spec, params, dataset, epoch_train)
-        val_loss, val_acc = evaluate_model(spec, params, dataset, epoch_val)
+        train_loss, train_acc = evaluate_model(spec, params, dataset, train_idx)
+        val_loss, val_acc = evaluate_model(spec, params, dataset, val_idx)
         history.append(
             EpochStats(
                 train_loss=train_loss,

@@ -279,7 +279,8 @@ def _command_argv(command, out, corpus_file, encoded_dir, model_file):
     ("preprocess", [], {"stoplist": "no-such-stoplist.txt"}, "stoplist"),
     ("train", [], {"epochs": "2"}, "epochs"),
     ("train", [], {"epochs": 2.5}, "epochs"),
-    ("train", [], {"revalidate_per_epoch": 1}, "revalidate_per_epoch"),
+    # revalidate_per_epoch is not a config key.
+    ("train", [], {"revalidate_per_epoch": False}, "revalidate_per_epoch"),
     ("ingest", [], {"bogus": 1}, "bogus"),
     ("preprocess", [], {"bogus": 1}, "bogus"),
     ("train", [], {"bogus": 1}, "bogus"),
@@ -289,10 +290,14 @@ def _command_argv(command, out, corpus_file, encoded_dir, model_file):
     ("evaluate", ["--split", "validation"], {"validation_fraction_of_train": 0.0},
      "validation_fraction_of_train"),
     ("compare", [], {"test_fraction": 0.0}, "test_fraction"),
+    # A validation split left empty would report a score over no records.
+    ("train", [], {"validation_fraction_of_train": 0.0}, "validation_fraction_of_train"),
+    ("compare", [], {"validation_fraction_of_train": 0.0}, "validation_fraction_of_train"),
 ], ids=["epochs-0", "batch-0", "seed-negative", "seq_len-0", "vocab_size-0", "vocab_size-1",
         "test_fraction-1.5", "pad-middle", "stoplist-missing", "epochs-str", "epochs-float",
-        "reval-int", "ingest-bogus", "preprocess-bogus", "train-bogus", "evaluate-bogus",
-        "compare-bogus", "evaluate-empty-validation", "compare-empty-test"])
+        "reval-removed", "ingest-bogus", "preprocess-bogus", "train-bogus", "evaluate-bogus",
+        "compare-bogus", "evaluate-empty-validation", "compare-empty-test",
+        "train-empty-validation", "compare-empty-validation"])
 def test_invalid_config_is_data_error(tmp_path, corpus_file, encoded_dir, model_file,
                                       capsys, command, flags, values, key):
     # Exit 2 naming the key, and nothing written.
@@ -373,6 +378,25 @@ def test_compare_prints_only_this_runs_table(tmp_path, encoded_dir, monkeypatch,
     assert capsys.readouterr().out == f"0/1 models completed; manifest in {out}\n"
     manifest = json.loads((out / harness.MANIFEST_FILENAME).read_text(encoding="utf-8"))
     assert manifest["files"] == {}
+    # The earlier run's results are gone with its table.
+    assert not (out / harness.RESULTS_TABLE_FILENAME).exists()
+    assert not (out / harness.RESULTS_CSV_FILENAME).exists()
+
+
+def test_compare_and_evaluate_write_the_same_metrics(tmp_path, encoded_dir):
+    # compare's test-split metrics and evaluate's on the checkpoint compare
+    # wrote come from one scoring path: their metrics.json bytes agree.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, epochs=1)))
+    out = tmp_path / "cmp"
+    assert run_cli("--config", str(config), "compare", "--data", str(encoded_dir),
+                   "--out", str(out), "--models", "GRU-BLSTM") == 0
+    assert run_cli("--config", str(config), "evaluate", "--model-file",
+                   str(out / "GRU-BLSTM" / harness.CHECKPOINT_FILENAME),
+                   "--data", str(encoded_dir), "--split", "test",
+                   "--out", str(tmp_path / "eval")) == 0
+    assert ((tmp_path / "eval" / harness.METRICS_FILENAME).read_bytes()
+            == (out / "GRU-BLSTM" / harness.METRICS_FILENAME).read_bytes())
 
 
 def test_train_rejects_sidecar_of_another_vocabulary(tmp_path, corpus_file, monkeypatch,

@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from narrative_seq import harness
+from narrative_seq import cli, harness
 from narrative_seq.errors import DataError, NumericError
 from narrative_seq.harness import ExperimentConfig, config_from_dict, run_experiment
 from narrative_seq.training import SplitSpec, TrainConfig, split_dataset
@@ -84,6 +86,25 @@ class TestConfig:
         assert set(schema) == harness.CONFIG_KEYS
         paths = {"data_path": "", "output_dir": ""}
         assert config_from_dict({**schema, **paths}) == config_from_dict({})
+
+    def test_readme_cli_flags_are_accepted(self):
+        # Every flag the README's command-line block shows for a subcommand
+        # is one that subcommand, or the global parser, accepts.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        shown = {}
+        for command in block.replace("\\\n", " ").splitlines():
+            words = command.split()
+            assert words[0] == "narrative-seq" and words[1] in subparsers, command
+            shown[words[1]] = re.findall(r"--[a-z][a-z-]*", command)
+        assert set(shown) == set(subparsers)
+        for name, flags in shown.items():
+            accepted = (subparsers[name]._option_string_actions.keys()
+                        | parser._option_string_actions.keys())
+            assert set(flags) <= accepted, (name, sorted(set(flags) - accepted))
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "config.json"

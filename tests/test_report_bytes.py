@@ -51,7 +51,7 @@ def data_dir(tmp_path):
 @pytest.fixture()
 def fixed_scores(monkeypatch):
     """Model k of ``MODELS`` predicts ``PREDS`` rolled by k records."""
-    def score(spec, params, dataset, indices, batch_size):
+    def score(spec, params, dataset, indices):
         shift = MODELS.index(spec.name) if spec.name in MODELS else 0
         return np.roll(PREDS, shift)[np.asarray(indices)], 0.0
 

@@ -200,7 +200,7 @@ class TestTrainModel:
         with_eval, _ = train_model(spec, tiny_dataset, config, split)
         scored = []
 
-        def no_evaluation(spec, params, dataset, indices, batch_size=64):
+        def no_evaluation(spec, params, dataset, indices):
             scored.append(len(indices))
             return 0.0, 0.0
 
@@ -216,12 +216,6 @@ class TestTrainModel:
         for spec in model_zoo(embedding_dim=8, hidden_units=8, dense_hidden_units=8):
             _, history = train_model(spec, tiny_dataset, config, split)
             assert history[4].train_loss < history[0].train_loss, spec.name
-
-    def test_revalidate_per_epoch_mode(self, tiny_dataset):
-        spec = build_spec("GRU", **self.SPEC)
-        config = TrainConfig(epochs=2, seed=5, revalidate_per_epoch=True)
-        _, history = train_model(spec, tiny_dataset, config, SplitSpec(seed=5))
-        assert len(history) == 2
 
     def test_non_finite_loss_aborts_with_location(self, tiny_dataset, monkeypatch):
         calls = {"n": 0}
