@@ -40,6 +40,8 @@ config = TrainConfig(epochs=4, seed=11)
 split = SplitSpec(seed=11)
 
 params, history = train_model(spec, dataset, config, split)
+# The train columns average the epoch's training batches, each measured
+# before its update; the validation columns re-score the holdout after it.
 print("\nper-epoch history:")
 print("epoch  train_loss  train_acc  val_loss  val_acc")
 for epoch, stats in enumerate(history, start=1):

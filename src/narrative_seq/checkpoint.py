@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset_io import write_atomic
-from .errors import CheckpointError
+from .errors import CheckpointError, DataError
 from .neural_layers import ModelSpec, ParamDict, param_shapes
 
 MAGIC = b"NSCKPT1\n"
@@ -54,8 +54,8 @@ def save_checkpoint(params: ParamDict, spec: ModelSpec, vocab_fingerprint: str,
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     try:
         write_atomic(path, MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + blob)
-    except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+    except DataError as exc:
+        raise CheckpointError(f"cannot write checkpoint: {exc}") from exc
 
 
 def load_checkpoint(path: str | Path, expected_vocab_fingerprint: str | None

@@ -162,7 +162,7 @@ def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
 def _cmd_train(args, config: harness.ExperimentConfig) -> int:
     dataset, fingerprint = harness.read_dataset_dir(args.data)
     harness.split_indices(len(dataset), config.split, "validation")
-    spec, _, history = harness.train_and_save(args.model, config, dataset, fingerprint,
+    spec, history, _ = harness.train_and_save(args.model, config, dataset, fingerprint,
                                               args.out)
     last = history[-1]
     print(

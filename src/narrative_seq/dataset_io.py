@@ -16,6 +16,7 @@ metrics, results and manifests) goes through ``write_atomic``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -65,14 +66,19 @@ class EncodedDataset:
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through the temp sibling ``.<name>.tmp``
     and a rename, so an interrupted write leaves the previous file or none,
-    never a partial one. The file gets the usual umask-derived mode."""
+    never a partial one. The file gets the usual umask-derived mode. An
+    ``OSError`` (say, a directory standing at ``path``) is a ``DataError``
+    naming the path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # the temp may never have been made
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -8,15 +8,18 @@ without stopping the others. All artifacts are content-deterministic
 the manifest lists every written file with its SHA-256.
 
 ``train_and_save`` is the one path that trains a model and writes its
-checkpoint and history: ``run_experiment`` calls it per model, and the
-``train`` subcommand calls it once. It creates the model directory before
-training, so an unusable output path fails fast. Every artifact is written
-through ``dataset_io.write_atomic`` (JSON through ``write_json``), so an
-interrupted run leaves each file whole or absent.
+checkpoint and history (and, for ``compare``, its test metrics):
+``run_experiment`` calls it per model, and the ``train`` subcommand calls it
+once. It creates the model directory before training, so an unusable output
+path fails fast. When training or writing fails it removes the artifact
+names it would have written, so a failed rerun keeps none of an earlier
+run's files. Every artifact is written through ``dataset_io.write_atomic``
+(JSON through ``write_json``), so an interrupted run leaves each file whole
+or absent.
 
-``split_indices`` is the one lookup from a split name to its record
-indices; it refuses a split the fractions leave empty. ``evaluate_on`` is
-the one scoring path of ``evaluate`` and ``compare``.
+``split_indices`` (from ``training``) is the one lookup from a split name to
+its record indices; it refuses a split the fractions leave empty.
+``evaluate_on`` is the one scoring path of ``evaluate`` and ``compare``.
 """
 
 from __future__ import annotations
@@ -34,15 +37,14 @@ from .checkpoint import save_checkpoint
 from .errors import DataError, NumericError
 from .evaluation import MetricsReport, compute_metrics, confusion_matrix, render_results_table
 from .training import (
+    SPLIT_NAMES,
     SplitSpec,
     TrainConfig,
     history_to_csv,
     score_records,
-    split_dataset,
+    split_indices,
     train_model,
 )
-
-SPLIT_NAMES = ("train", "validation", "test", "all")
 
 CHECKPOINT_FILENAME = "checkpoint.nsck"
 HISTORY_FILENAME = "history.csv"
@@ -77,6 +79,9 @@ class ExperimentConfig:
             raise DataError(
                 f"unknown model names {unknown}; zoo models are {list(zoo.ZOO_NAMES)}"
             )
+        repeated = list(dict.fromkeys(n for n in self.model_names if self.model_names.count(n) > 1))
+        if repeated:
+            raise DataError(f"model names {repeated} are listed more than once")
         # vocab_size counts the reserved padding and OOV ids.
         for name, least in (("seq_len", 1), ("vocab_size", 2), ("embedding_dim", 1),
                             ("hidden_units", 1), ("dense_hidden_units", 1)):
@@ -186,46 +191,45 @@ def read_dataset_dir(path: str | Path) -> tuple[dataset_io.EncodedDataset, str]:
 
 
 def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.EncodedDataset,
-                   fingerprint: str, model_dir: str | Path):
+                   fingerprint: str, model_dir: str | Path,
+                   test_idx: np.ndarray | None = None):
     """Train zoo model ``name`` and write its checkpoint and history into
-    ``model_dir``; returns ``(spec, params, history)``.
+    ``model_dir``; with ``test_idx``, also score the trained model on those
+    records and write its metrics. Returns ``(spec, history, report)``, the
+    report ``None`` without ``test_idx``.
 
     The directory is created, or rejected with a ``DataError``, before
     training starts, so an unusable output path costs no training time. If
-    training or writing fails, a directory this call created is removed
-    again when it is still empty.
+    training or writing fails, the artifact names this call would have
+    written are unlinked (never a recursive delete), and a directory this
+    call created is removed again when it is then empty.
     """
     spec = zoo.build_spec(name, embedding_dim=config.embedding_dim,
                           hidden_units=config.hidden_units,
                           dense_hidden_units=config.dense_hidden_units)
+    artifacts = [CHECKPOINT_FILENAME, HISTORY_FILENAME]
+    if test_idx is not None:
+        artifacts.append(METRICS_FILENAME)
     created = not Path(model_dir).exists()
     model_dir = make_output_dir(model_dir)
+    report = None
     try:
         params, history = train_model(spec, dataset, config.train, config.split)
         save_checkpoint(params, spec, fingerprint, model_dir / CHECKPOINT_FILENAME)
         dataset_io.write_atomic(model_dir / HISTORY_FILENAME, history_to_csv(history).encode())
+        if test_idx is not None:
+            report = evaluate_on(spec, params, dataset, test_idx)
+            write_json(model_dir / METRICS_FILENAME, report.to_dict())
     except BaseException:
+        # OSError: an artifact name may be a directory, which unlink refuses.
+        for artifact in artifacts:
+            with contextlib.suppress(OSError):
+                (model_dir / artifact).unlink(missing_ok=True)
         if created:
             with contextlib.suppress(OSError):  # rmdir removes only an empty directory
                 model_dir.rmdir()
         raise
-    return spec, params, history
-
-
-# The config key that sizes each split that can come out empty; the train
-# and all splits always keep at least one record.
-_SPLIT_FRACTION_KEYS = {"validation": "validation_fraction_of_train", "test": "test_fraction"}
-
-
-def split_indices(n: int, spec: SplitSpec, name: str) -> np.ndarray:
-    """The record indices of split ``name`` (one of ``SPLIT_NAMES``) of an
-    ``n``-record dataset; a ``DataError`` naming the config key when the
-    fractions leave that split empty."""
-    indices = dict(zip(SPLIT_NAMES, (*split_dataset(n, spec), np.arange(n))))[name]
-    if indices.size == 0:
-        key = _SPLIT_FRACTION_KEYS[name]
-        raise DataError(f"the {name} split holds no records with {key} {getattr(spec, key)!r}")
-    return indices
+    return spec, history, report
 
 
 def evaluate_on(spec, params, dataset, indices) -> MetricsReport:
@@ -252,11 +256,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     def run_one(name: str) -> dict:
         try:
-            spec, params, _ = train_and_save(name, config, dataset, fingerprint, out_dir / name)
+            _, _, report = train_and_save(name, config, dataset, fingerprint, out_dir / name,
+                                          test_idx)
         except NumericError as exc:
             return {"name": name, "status": "failed", "error": str(exc)}
-        report = evaluate_on(spec, params, dataset, test_idx)
-        write_json(out_dir / name / METRICS_FILENAME, report.to_dict())
         return {
             "name": name,
             "status": "ok",

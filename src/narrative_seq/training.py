@@ -1,9 +1,18 @@
 """Dataset splitting, categorical cross-entropy, Adam, and the training loop.
 
 The split is a seeded permutation carved into 80/20 train/test, with 10% of
-the train portion held out for validation. The holdout is drawn once and
-scored after every epoch, so curves are comparable across epochs and no
-validation record is ever trained on.
+the train portion held out for validation. ``split_indices`` is the one
+lookup from a split name to its records; it refuses a split the fractions
+leave empty, so ``train_model`` refuses an empty validation holdout before
+it trains. The holdout is drawn once and re-scored with frozen parameters
+after every epoch, so curves are comparable across epochs and no validation
+record is ever trained on.
+
+The train loss and accuracy of an epoch come from the training batches' own
+forwards: the record-weighted mean of the batch losses and the share of
+records the batches predicted right, each batch measured with the
+parameters as they stood before its update. The train split is not
+re-scored.
 
 Gradients are reduced as the batch mean, clipped to a global norm, then fed
 to Adam with bias correction. Everything is deterministic given the config
@@ -34,8 +43,8 @@ from .text_pipeline import labels_to_one_hot
 
 LOSS_FLOOR = 1e-12
 
-# Records per forward-only scoring batch: epoch-end history, evaluate and
-# compare all score through score_records at this size.
+# Records per forward-only scoring batch: the epoch-end validation score,
+# evaluate and compare all score through score_records at this size.
 SCORE_BATCH = 64
 
 # Substream tags for SeededRng; fixed so runs stay reproducible.
@@ -127,6 +136,24 @@ def split_dataset(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.n
     return train, validation, test
 
 
+SPLIT_NAMES = ("train", "validation", "test", "all")
+
+# The config key that sizes each split that can come out empty; the train
+# and all splits always keep at least one record.
+_SPLIT_FRACTION_KEYS = {"validation": "validation_fraction_of_train", "test": "test_fraction"}
+
+
+def split_indices(n: int, spec: SplitSpec, name: str) -> np.ndarray:
+    """The record indices of split ``name`` (one of ``SPLIT_NAMES``) of an
+    ``n``-record dataset; a ``DataError`` naming the config key when the
+    fractions leave that split empty."""
+    indices = dict(zip(SPLIT_NAMES, (*split_dataset(n, spec), np.arange(n))))[name]
+    if indices.size == 0:
+        key = _SPLIT_FRACTION_KEYS[name]
+        raise DataError(f"the {name} split holds no records with {key} {getattr(spec, key)!r}")
+    return indices
+
+
 def cross_entropy(probs: np.ndarray, label: np.ndarray) -> float:
     """-ln(p_true) floored at 1e-12 so a confident miss stays finite."""
     p_true = float(np.dot(np.asarray(probs, dtype=np.float64), np.asarray(label)))
@@ -208,8 +235,6 @@ def evaluate_model(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
                    indices: Sequence[int] | np.ndarray) -> tuple[float, float]:
     """(mean loss, accuracy) of frozen params over the given record indices."""
     idx = np.asarray(indices)
-    if idx.size == 0:
-        return 0.0, 0.0
     preds, total_loss = score_records(spec, params, dataset, idx)
     correct = int(np.sum(preds == dataset.labels[idx]))
     return total_loss / idx.size, correct / idx.size
@@ -219,12 +244,15 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
                 split: SplitSpec) -> tuple[ParamDict, TrainingHistory]:
     """Train one architecture; returns final params and per-epoch history.
 
-    Per epoch: shuffle the train indices with an epoch-derived seed, step
-    through mini-batches (the last one may be short), backpropagate the
-    batch-mean loss, clip, apply Adam, then evaluate train and validation
-    loss/accuracy.
+    Refuses a split that leaves the validation holdout empty with a
+    ``DataError`` before training. Per epoch: shuffle the train indices
+    with an epoch-derived seed, step through mini-batches (the last one may
+    be short), backpropagate the batch-mean loss, clip and apply Adam. The
+    epoch's train loss and accuracy are taken from those batch forwards;
+    the validation holdout is then scored with the epoch's final params.
     """
-    train_idx, val_idx, _ = split_dataset(len(dataset), split)
+    train_idx = split_indices(len(dataset), split, "train")
+    val_idx = split_indices(len(dataset), split, "validation")
     params = init_params(spec, dataset.vocab_size, SeededRng(config.seed, _TAG_INIT))
     state = AdamState.initialize(params)
     history: TrainingHistory = []
@@ -233,6 +261,7 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
         order = train_idx[
             SeededRng(config.seed, _TAG_SHUFFLE, epoch).permutation(train_idx.size)
         ]
+        loss_sum, hits = 0.0, 0
         for batch_no, start in enumerate(range(0, order.size, config.batch_size)):
             batch = order[start:start + config.batch_size]
             labels = dataset.labels[batch].astype(np.int64)
@@ -243,6 +272,8 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
                     f"non-finite loss at epoch {epoch + 1}, batch {batch_no + 1} "
                     f"while training {spec.name!r}"
                 )
+            loss_sum += loss * batch.size
+            hits += int(np.sum(predict_classes(probs) == labels))
             grads = model_backward(cache, labels_to_one_hot(labels), spec, params)
             clip_gradients(grads, config.clip_norm)
             adam_update(params, grads, state, config)
@@ -251,12 +282,11 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
             # long seq_len.
             del cache, grads
 
-        train_loss, train_acc = evaluate_model(spec, params, dataset, train_idx)
         val_loss, val_acc = evaluate_model(spec, params, dataset, val_idx)
         history.append(
             EpochStats(
-                train_loss=train_loss,
-                train_accuracy=train_acc,
+                train_loss=loss_sum / train_idx.size,
+                train_accuracy=hits / train_idx.size,
                 val_loss=val_loss,
                 val_accuracy=val_acc,
             )

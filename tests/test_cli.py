@@ -383,6 +383,52 @@ def test_compare_prints_only_this_runs_table(tmp_path, encoded_dir, monkeypatch,
     assert not (out / harness.RESULTS_CSV_FILENAME).exists()
 
 
+def test_compare_refuses_repeated_models(tmp_path, encoded_dir, capsys):
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--data", str(encoded_dir), "--out", str(out),
+                   "--models", "sRNN,GRU,sRNN") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "['sRNN']" in err
+    assert not out.exists()
+
+
+def test_failed_train_rerun_leaves_none_of_the_earlier_artifacts(tmp_path, encoded_dir,
+                                                                 monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, epochs=1)))
+    out = tmp_path / "m"
+    argv = ["--config", str(config), "train", "--data", str(encoded_dir), "--model", "sRNN",
+            "--out", str(out)]
+    assert run_cli(*argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.nsck", "history.csv"]
+
+    def diverge(*args):
+        raise NumericError("non-finite loss")
+
+    monkeypatch.setattr(harness, "train_model", diverge)
+    assert run_cli(*argv) == 3
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,artifact", [("evaluate", harness.METRICS_FILENAME),
+                                              ("train", harness.HISTORY_FILENAME)])
+def test_directory_at_an_artifact_path_is_data_error(tmp_path, corpus_file, encoded_dir,
+                                                     model_file, capsys, command, artifact):
+    # os.replace cannot put a file where a directory stands: exit 2 naming
+    # the path, the directory untouched, and no temp file or other
+    # artifact of the failed command left beside it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, epochs=1)))
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    argv = _command_argv(command, out, corpus_file, encoded_dir, model_file)
+    assert run_cli("--config", str(config), *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(out / artifact) in err
+    assert [p.name for p in out.iterdir()] == [artifact]
+    assert list((out / artifact).iterdir()) == []
+
+
 def test_compare_and_evaluate_write_the_same_metrics(tmp_path, encoded_dir):
     # compare's test-split metrics and evaluate's on the checkpoint compare
     # wrote come from one scoring path: their metrics.json bytes agree.

@@ -196,10 +196,18 @@ class TestWriteAtomic:
             monkeypatch.setattr(Path, "write_bytes", self._half_then_interrupt)
         else:
             monkeypatch.setattr(dataset_io.os, "replace", self._refuse_replace)
-        with pytest.raises((KeyboardInterrupt, OSError)):
+        with pytest.raises((KeyboardInterrupt, DataError)):
             write_atomic(path, b"new contents, longer than before")
         monkeypatch.undo()
         assert path.read_bytes() == b"earlier contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_directory_at_the_path_is_a_data_error(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.mkdir()
+        with pytest.raises(DataError, match="a.bin"):
+            write_atomic(path, b"abc")
+        assert path.is_dir() and list(path.iterdir()) == []
         assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
     def test_failed_checkpoint_write_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):

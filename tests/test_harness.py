@@ -56,6 +56,10 @@ class TestConfig:
         with pytest.raises(DataError, match="CNN"):
             config_from_dict({"model_names": ["CNN"]})
 
+    def test_repeated_model_names_rejected(self):
+        with pytest.raises(DataError, match=r"\['sRNN', 'GRU'\]"):
+            config_from_dict({"model_names": ["sRNN", "GRU", "sRNN", "LSTM", "GRU"]})
+
     def test_empty_model_list_rejected(self):
         with pytest.raises(DataError):
             config_from_dict({"model_names": []})
@@ -202,6 +206,32 @@ class TestRunExperiment:
             with pytest.raises(NumericError):
                 harness.train_and_save("sRNN", config, dataset, fingerprint, model_dir)
         assert existing.is_dir() and not (tmp_path / "fresh").exists()
+
+    def test_failed_rerun_leaves_none_of_the_earlier_artifacts(
+            self, encoded_fixture_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        config = _config(encoded_fixture_dir, out, models=("sRNN",), epochs=1)
+        run_experiment(config)
+        model_dir = out / "sRNN"
+        artifacts = sorted(p.name for p in model_dir.iterdir())
+        assert artifacts == ["checkpoint.nsck", "history.csv", "metrics.json"]
+
+        def failing(*args):
+            raise NumericError("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "train_model", failing)
+            manifest = run_experiment(config)
+        assert manifest["models"]["sRNN"]["status"] == "failed"
+        # The directory was there before the rerun, so it stays, emptied.
+        assert model_dir.is_dir() and list(model_dir.iterdir()) == []
+
+        # A metrics write that fails takes this run's checkpoint and history
+        # with it; the directory standing in its way is left alone.
+        (model_dir / "metrics.json").mkdir()
+        with pytest.raises(DataError, match="metrics.json"):
+            run_experiment(config)
+        assert [p.name for p in model_dir.iterdir()] == ["metrics.json"]
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         config = _config(tmp_path / "nowhere", tmp_path / "out", models=("LSTM",))

@@ -9,7 +9,9 @@ from narrative_seq import training
 from narrative_seq.corpus_ingest import DamageLabel
 from narrative_seq.dataset_io import EncodedDataset
 from narrative_seq.errors import DataError, DimensionError, NumericError
+from narrative_seq.neural_layers import init_params
 from narrative_seq.synthetic import separable_dataset
+from narrative_seq.tensor_core import SeededRng
 from narrative_seq.text_pipeline import one_hot
 from narrative_seq.training import (
     AdamState,
@@ -193,23 +195,55 @@ class TestTrainModel:
             npt.assert_array_equal(params_a[name], params_b[name])
 
     def test_validation_never_trained_on(self, tiny_dataset, monkeypatch):
-        # The epoch-end evaluations only read the parameters: with them
-        # stubbed out, training ends at the same parameters.
+        # The epoch-end validation score only reads the parameters: with it
+        # stubbed out, training ends at the same parameters, and the train
+        # fields still come from the batches. It runs once per epoch of
+        # three batches, on the validation records alone.
         spec = build_spec("sRNN", **self.SPEC)
-        config, split = TrainConfig(epochs=2, seed=6), SplitSpec(seed=6)
+        config, split = TrainConfig(epochs=2, batch_size=8, seed=6), SplitSpec(seed=6)
         with_eval, _ = train_model(spec, tiny_dataset, config, split)
+        val_idx = split_dataset(len(tiny_dataset), split)[1]
         scored = []
 
         def no_evaluation(spec, params, dataset, indices):
-            scored.append(len(indices))
+            scored.append(np.asarray(indices).copy())
             return 0.0, 0.0
 
         monkeypatch.setattr(training, "evaluate_model", no_evaluation)
         without_eval, history = train_model(spec, tiny_dataset, config, split)
-        assert len(scored) == 4 and all(scored)
-        assert history == [EpochStats(0.0, 0.0, 0.0, 0.0)] * 2
+        assert len(scored) == 2
+        for indices in scored:
+            npt.assert_array_equal(indices, val_idx)
+        assert len(history) == 2
+        for stats in history:
+            assert stats.train_loss > 0.0 and stats.train_accuracy > 0.0
+            assert (stats.val_loss, stats.val_accuracy) == (0.0, 0.0)
         for name in with_eval:
             npt.assert_array_equal(with_eval[name], without_eval[name])
+
+    def test_train_fields_score_the_batch_forward(self, tiny_dataset):
+        # One epoch of one batch: its forward runs on the initial parameters,
+        # so the train fields equal a frozen-parameter score of the train
+        # split at initialisation.
+        spec = build_spec("GRU", **self.SPEC)
+        split = SplitSpec(seed=2)
+        train_idx = split_dataset(len(tiny_dataset), split)[0]
+        config = TrainConfig(epochs=1, batch_size=train_idx.size, seed=2)
+        initial = init_params(spec, tiny_dataset.vocab_size,
+                              SeededRng(config.seed, training._TAG_INIT))
+        loss, accuracy = training.evaluate_model(spec, initial, tiny_dataset, train_idx)
+        _, history = train_model(spec, tiny_dataset, config, split)
+        assert history[0].train_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+        assert history[0].train_accuracy == accuracy
+
+    def test_empty_validation_holdout_rejected_before_training(self, tiny_dataset,
+                                                               monkeypatch):
+        forwards = []
+        monkeypatch.setattr(training, "model_forward", lambda *args: forwards.append(args))
+        with pytest.raises(DataError, match="validation_fraction_of_train 0.0"):
+            train_model(build_spec("sRNN", **self.SPEC), tiny_dataset, TrainConfig(epochs=1),
+                        SplitSpec(validation_fraction_of_train=0.0))
+        assert forwards == []
 
     def test_loss_decreases_on_easy_data_for_every_zoo_model(self, tiny_dataset):
         config, split = TrainConfig(epochs=5, seed=3), SplitSpec(seed=3)
@@ -254,15 +288,17 @@ class TestTrainModel:
             spec = build_spec("LSTM", **self.SPEC)
             tracemalloc.start()
             try:
-                train_model(spec, dataset, TrainConfig(epochs=1, batch_size=8), SplitSpec())
+                train_model(spec, dataset, TrainConfig(epochs=1, batch_size=9), SplitSpec())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        # 10 records train on 8 (one batch), 32 records on 24 (three).
-        assert split_dataset(10, SplitSpec())[0].size == 8
-        assert split_dataset(32, SplitSpec())[0].size == 24
-        assert traced_peak(32) < 1.3 * traced_peak(10)
+        # 12 records train on 9 (one batch), 36 records on 27 (three); both
+        # keep a validation record.
+        for n_records, n_train in ((12, 9), (36, 27)):
+            train, validation, _ = split_dataset(n_records, SplitSpec())
+            assert train.size == n_train and validation.size >= 1
+        assert traced_peak(36) < 1.3 * traced_peak(12)
 
 
 def test_history_csv_format():
