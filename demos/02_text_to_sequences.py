@@ -11,7 +11,6 @@ from narrative_seq import (
     encode_sequence,
     lemmatize,
     normalize_text,
-    one_hot,
     remove_stopwords,
     tokenize,
 )
@@ -55,6 +54,6 @@ print("decodes back to:", decode_sequence(ids, vocab))
 unknown = encode_sequence(["pilot", "hydraulics"], vocab, length=6)
 print("\nunknown tokens map to the OOV index 1:", unknown)
 
-print("\none-hot labels:")
+print("\nlabels are integer class codes, the byte stored per record in .nseq:")
 for label in DamageLabel:
-    print(f"  {label.display_name:<12} {one_hot(label)}")
+    print(f"  {label.display_name:<12} {int(label)}")

@@ -15,13 +15,12 @@ from narrative_seq import (
     lstm_step,
     model_backward,
     model_forward,
-    predict_class,
+    predict_classes,
     predict_proba,
     recurrent_forward,
     srnn_step,
 )
 from narrative_seq.neural_layers import CellKind, RecurrentLayerSpec
-from narrative_seq.text_pipeline import one_hot
 from narrative_seq.corpus_ingest import DamageLabel
 from narrative_seq.training import cross_entropy
 from narrative_seq.zoo import build_spec
@@ -77,10 +76,17 @@ params = init_params(spec, vocab_size=12, rng=SeededRng(7, 2))
 ids = np.array([3, 1, 8, 2], dtype=np.uint32)
 probs, cache = model_forward(ids, spec, params)
 print(f"\n{spec.name} probabilities: {probs}  (sum {probs.sum():.12f})")
-print("predicted class:", predict_class(probs).display_name)
+print("predicted class:", DamageLabel(int(predict_classes(probs))).display_name)
 
-label = one_hot(DamageLabel.SUBSTANTIAL)
+# Labels are integer class codes; one record takes a single code.
+label = DamageLabel.SUBSTANTIAL
 grads = model_backward(cache, label, spec, params)
+
+
+def loss() -> float:
+    """The record's cross-entropy, scored as a one-row batch."""
+    return cross_entropy(predict_proba(ids[None, :], spec, params), np.array([label]))[0]
+
 
 # Probe three coordinates with central finite differences; the analytic
 # gradients should agree to several digits.
@@ -93,9 +99,9 @@ for name in ("embedding", "layer0.W_z", "output.W"):
     i = int(np.argmax(np.abs(gflat)))  # most informative coordinate
     keep = flat[i]
     flat[i] = keep + eps
-    up = cross_entropy(predict_proba(ids, spec, params), label)
+    up = loss()
     flat[i] = keep - eps
-    down = cross_entropy(predict_proba(ids, spec, params), label)
+    down = loss()
     flat[i] = keep
     numeric = (up - down) / (2 * eps)
     print(f"  {name:<12} analytic {gflat[i]:+.9f}   numeric {numeric:+.9f}")

@@ -56,7 +56,6 @@ from .neural_layers import (
     model_backward,
     model_forward,
     param_shapes,
-    predict_class,
     predict_classes,
     predict_proba,
     recurrent_forward,
@@ -69,7 +68,6 @@ from .text_pipeline import (
     encode_sequence,
     lemmatize,
     normalize_text,
-    one_hot,
     preprocess_corpus,
     remove_stopwords,
     tokenize,

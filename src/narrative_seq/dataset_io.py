@@ -93,9 +93,9 @@ def write_encoded_dataset(path: str | Path, dataset: EncodedDataset) -> None:
 
 
 def read_encoded_dataset(path: str | Path) -> EncodedDataset:
-    """Load an ``.nseq`` file. A short or mis-sized file, a token id outside
-    the header's vocabulary, or a label that is not a damage level raises
-    ``DataError``."""
+    """Load an ``.nseq`` file. A short or mis-sized file, a header
+    ``seq_len`` of 0, a token id outside the header's vocabulary, or a label
+    that is not a damage level raises ``DataError``."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -109,6 +109,8 @@ def read_encoded_dataset(path: str | Path) -> EncodedDataset:
             f"{path}: {len(raw)} bytes is shorter than the {offset + _HEADER.size}-byte header"
         )
     seq_len, vocab_size, n = _HEADER.unpack_from(raw, offset)
+    if seq_len == 0:
+        raise DataError(f"{path}: header seq_len is 0; sequences need at least one token")
     offset += _HEADER.size
     record_bytes = 1 + 4 * seq_len
     expected = offset + n * record_bytes

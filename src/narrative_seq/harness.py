@@ -245,14 +245,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     The dataset is read and its validation and test splits checked before
     the output directory is created, so a run that cannot validate or
-    evaluate trains nothing. When no model succeeds, a results table and
-    CSV left by an earlier run in the same directory are removed, so the
-    directory's results are this run's.
+    evaluate trains nothing. The manifest, results table and CSV of an
+    earlier run in the same directory are removed before the first model
+    trains, so a run that stops part-way leaves no listing of files it has
+    replaced or removed, and the directory's results are this run's.
     """
     dataset, fingerprint = read_dataset_dir(config.data_path)
     split_indices(len(dataset), config.split, "validation")
     test_idx = split_indices(len(dataset), config.split, "test")
     out_dir = make_output_dir(config.output_dir)
+    for stale in (MANIFEST_FILENAME, RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME):
+        with contextlib.suppress(OSError):  # a directory may stand at the name
+            (out_dir / stale).unlink(missing_ok=True)
 
     def run_one(name: str) -> dict:
         try:
@@ -280,9 +284,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         dataset_io.write_atomic(out_dir / RESULTS_TABLE_FILENAME, table_text.encode("utf-8"))
         dataset_io.write_atomic(out_dir / RESULTS_CSV_FILENAME, csv_text.encode("utf-8"))
         written += [RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME]
-    else:
-        for stale in (RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME):
-            (out_dir / stale).unlink(missing_ok=True)
 
     manifest = {
         "config": {

@@ -65,7 +65,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .corpus_ingest import DamageLabel
 from .errors import DimensionError
 from .tensor_core import SeededRng, Tensor, matmul, relu, sigmoid, softmax, uniform_init
 from .text_pipeline import NUM_CLASSES
@@ -701,29 +700,32 @@ def _forward(seq: Tensor, spec: ModelSpec, params: Mapping[str, Tensor],
     return (probs[0] if squeezed else probs), cache
 
 
-def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
+def model_backward(cache: ForwardCache, labels: Tensor | int, spec: ModelSpec,
                    params: Mapping[str, Tensor]) -> ParamDict:
     """Exact gradient of mean cross-entropy(softmax) loss over the batch.
 
-    ``label`` is a one-hot [4] vector (or batch [B, 4]) matching the forward
-    input. Embedding gradients accumulate only into looked-up rows.
+    ``labels`` are integer class codes: ``[B]`` matching the forward input,
+    or a scalar (an int or a ``DamageLabel``) for a single record. A label
+    array of another length, or a code outside ``0..3``, raises
+    ``DimensionError``. Embedding gradients accumulate only into looked-up
+    rows.
     """
     if len(cache.layers) != len(spec.recurrent_stack):
         raise DimensionError(
             f"cache holds {len(cache.layers)} layers, spec has "
             f"{len(spec.recurrent_stack)}"
         )
-    onehot = np.asarray(label, dtype=np.float64)
-    if onehot.ndim == 1:
-        onehot = onehot[None, :]
+    codes = np.asarray(labels, dtype=np.int64).reshape(-1)
     B = cache.probs.shape[0]
-    if onehot.shape != cache.probs.shape:
+    if codes.shape != (B,) or np.any((codes < 0) | (codes >= NUM_CLASSES)):
         raise DimensionError(
-            f"labels {onehot.shape} do not match probabilities {cache.probs.shape}"
+            f"labels {codes.tolist()} are not {B} class codes in 0..{NUM_CLASSES - 1}"
         )
     grads = {name: np.zeros_like(value) for name, value in params.items()}
 
-    d_logits = (cache.probs - onehot) / B
+    d_logits = cache.probs.copy()
+    d_logits[np.arange(B), codes] -= 1.0
+    d_logits /= B
     grads["output.W"] += matmul(cache.hidden.T, d_logits)
     grads["output.b"] += d_logits.sum(axis=0)
     d_pre = matmul(d_logits, params["output.W"].T) * _relu_deriv(cache.hidden)
@@ -747,14 +749,7 @@ def model_backward(cache: ForwardCache, label: Tensor, spec: ModelSpec,
     return grads
 
 
-def predict_class(probs: Tensor) -> DamageLabel:
-    """Index of the maximum probability; ties break to the lowest index."""
-    arr = np.asarray(probs)
-    if arr.shape != (NUM_CLASSES,):
-        raise DimensionError(f"expected a 4-vector of probabilities, got {arr.shape}")
-    return DamageLabel(int(np.argmax(arr)))
-
-
 def predict_classes(probs: Tensor) -> np.ndarray:
-    """Batched argmax with the same lowest-index tie-break."""
+    """Class codes of the maximum probability along the last axis; ties
+    break to the lowest index."""
     return np.argmax(np.asarray(probs), axis=-1)

@@ -1,5 +1,6 @@
 """Deterministic text preprocessing: narrative text in, fixed-length
-integer sequences and one-hot labels out.
+integer sequences and integer class-code labels (``DamageLabel`` values
+0-3) out.
 
 The stage order is fixed: normalize -> tokenize -> stopword removal ->
 lemmatize -> encode. Every stage is a pure function, so identical inputs
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_ingest import DamageLabel, OccurrenceRecord
+from .corpus_ingest import OccurrenceRecord
 from .errors import DataError
 
 PAD_INDEX = 0
@@ -228,21 +229,6 @@ def decode_sequence(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
             break
         tokens.append("<oov>" if i == OOV_INDEX else vocab.token_of(int(i)))
     return tokens
-
-
-def one_hot(label: DamageLabel) -> np.ndarray:
-    """4-vector with a single 1 at the label's integer code."""
-    vec = np.zeros(NUM_CLASSES, dtype=np.float64)
-    vec[int(label)] = 1.0
-    return vec
-
-
-def labels_to_one_hot(labels: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Batch one-hot encoding, shape [n, 4]."""
-    arr = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((arr.shape[0], NUM_CLASSES), dtype=np.float64)
-    out[np.arange(arr.shape[0]), arr] = 1.0
-    return out
 
 
 def preprocess_corpus(

@@ -39,7 +39,6 @@ from .neural_layers import (
     predict_proba,
 )
 from .tensor_core import SeededRng
-from .text_pipeline import labels_to_one_hot
 
 LOSS_FLOOR = 1e-12
 
@@ -154,16 +153,12 @@ def split_indices(n: int, spec: SplitSpec, name: str) -> np.ndarray:
     return indices
 
 
-def cross_entropy(probs: np.ndarray, label: np.ndarray) -> float:
-    """-ln(p_true) floored at 1e-12 so a confident miss stays finite."""
-    p_true = float(np.dot(np.asarray(probs, dtype=np.float64), np.asarray(label)))
-    return -math.log(max(p_true, LOSS_FLOOR))
-
-
-def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean floored cross-entropy over a batch; labels are integer codes."""
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-record loss -ln(p_true) of ``probs`` [B, 4] against integer class
+    codes ``labels`` [B], with p_true floored at 1e-12 so a confident miss
+    stays finite."""
     p_true = probs[np.arange(probs.shape[0]), labels]
-    return float(np.mean(-np.log(np.maximum(p_true, LOSS_FLOOR))))
+    return -np.log(np.maximum(p_true, LOSS_FLOOR))
 
 
 def clip_gradients(grads: ParamDict, clip_norm: float) -> float:
@@ -225,8 +220,7 @@ def score_records(spec: ModelSpec, params: ParamDict, dataset: EncodedDataset,
         chunk = idx[start:start + SCORE_BATCH]
         labels = dataset.labels[chunk].astype(np.int64)
         probs = predict_proba(dataset.sequences[chunk], spec, params)
-        p_true = probs[np.arange(chunk.size), labels]
-        total_loss += float(np.sum(-np.log(np.maximum(p_true, LOSS_FLOOR))))
+        total_loss += float(np.sum(cross_entropy(probs, labels)))
         preds[start:start + chunk.size] = predict_classes(probs)
     return preds, total_loss
 
@@ -266,7 +260,7 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
             batch = order[start:start + config.batch_size]
             labels = dataset.labels[batch].astype(np.int64)
             probs, cache = model_forward(dataset.sequences[batch], spec, params)
-            loss = batch_cross_entropy(probs, labels)
+            loss = float(np.mean(cross_entropy(probs, labels)))
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch + 1}, batch {batch_no + 1} "
@@ -274,7 +268,7 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
                 )
             loss_sum += loss * batch.size
             hits += int(np.sum(predict_classes(probs) == labels))
-            grads = model_backward(cache, labels_to_one_hot(labels), spec, params)
+            grads = model_backward(cache, labels, spec, params)
             clip_gradients(grads, config.clip_norm)
             adam_update(params, grads, state, config)
             # Release this batch's cache and gradients before the next

@@ -44,7 +44,6 @@ from narrative_seq.text_pipeline import (
     build_vocabulary,
     decode_sequence,
     encode_sequence,
-    one_hot,
     preprocess_corpus,
 )
 from narrative_seq.training import SplitSpec, TrainConfig, train_model
@@ -69,7 +68,7 @@ def criterion(number: int, description: str):
 def test_c1_gradient_correctness():
     with criterion(1, "BPTT matches central finite differences (<1e-5) for "
                       "all kinds x directions x depths 1-3"):
-        label = one_hot(DamageLabel.SUBSTANTIAL)
+        label = DamageLabel.SUBSTANTIAL
         ids = np.array([1, 4, 2, 7, 9], dtype=np.uint32)  # L=5, vocab=10
         seed = 300
         for kind in (CellKind.SRNN, CellKind.LSTM, CellKind.GRU):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -462,6 +463,24 @@ def test_train_rejects_sidecar_of_another_vocabulary(tmp_path, corpus_file, monk
     assert trained == [] and not (tmp_path / "model").exists()
     err = capsys.readouterr().err
     assert "data error" in err and "50 entries" in err
+
+
+def test_train_refuses_a_dataset_of_seq_len_0(tmp_path, encoded_dir, capsys):
+    # preprocess never writes seq_len 0; a hand-made file that says so must
+    # not train a model on no tokens.
+    data = tmp_path / "enc"
+    shutil.copytree(encoded_dir, data)
+    nseq = data / dataset_io.ENCODED_FILENAME
+    dataset = dataset_io.read_encoded_dataset(nseq)
+    dataset_io.write_encoded_dataset(nseq, dataset_io.EncodedDataset(
+        sequences=np.zeros((len(dataset), 0), dtype=np.uint32), labels=dataset.labels,
+        vocab_size=dataset.vocab_size))
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data), "--model", "LSTM",
+                   "--out", str(tmp_path / "model")) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(nseq) in err and "seq_len is 0" in err
+    assert not (tmp_path / "model").exists()
 
 
 # The module fixtures are only read: each example corrupts its own copy.

@@ -18,14 +18,13 @@ from narrative_seq import neural_layers
 from narrative_seq.corpus_ingest import DamageLabel
 from narrative_seq.neural_layers import CHUNK_STEPS, init_params, model_backward, model_forward
 from narrative_seq.tensor_core import SeededRng
-from narrative_seq.text_pipeline import labels_to_one_hot, one_hot
 from narrative_seq.zoo import ZOO_NAMES, build_spec
 
 from gradcheck import max_relative_error
 
 TOL = 1e-5
 IDS = np.array([1, 4, 0, 7, 0], dtype=np.uint32)  # includes padding ids
-LABEL = one_hot(DamageLabel.SUBSTANTIAL)
+LABEL = DamageLabel.SUBSTANTIAL
 
 
 def _check(name, seed, ids=IDS):
@@ -45,11 +44,11 @@ def test_batched_gradient_is_mean_of_singles():
     batch = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], dtype=np.uint32)
     labels = np.array([0, 2, 3])
     _, cache = model_forward(batch, spec, params)
-    batch_grads = model_backward(cache, labels_to_one_hot(labels), spec, params)
+    batch_grads = model_backward(cache, labels, spec, params)
     summed = {k: np.zeros_like(v) for k, v in params.items()}
     for row in range(3):
         _, single_cache = model_forward(batch[row], spec, params)
-        g = model_backward(single_cache, one_hot(DamageLabel(labels[row])), spec, params)
+        g = model_backward(single_cache, labels[row], spec, params)
         for k in summed:
             summed[k] += g[k] / 3.0
     for k in summed:
@@ -82,7 +81,7 @@ def test_gradients_do_not_depend_on_chunk_length(name, monkeypatch):
     length = 2 * 64 + 5
     ids = np.stack([_chunk_crossing_ids(length), np.roll(_chunk_crossing_ids(length), 9),
                     np.random.default_rng(3).integers(1, 10, size=length)]).astype(np.uint32)
-    labels = labels_to_one_hot(np.array([0, 2, 3]))
+    labels = np.array([0, 2, 3])
     reference = _zoo_gradients(name, ids, labels)
     for chunk in (1, 7, 64):
         monkeypatch.setattr(neural_layers, "CHUNK_STEPS", chunk)
@@ -110,5 +109,5 @@ def test_gemm_count_per_step_and_chunk(name, per_step, per_chunk, monkeypatch):
     ids = np.random.default_rng(4).integers(1, 10, size=(batch, length)).astype(np.uint32)
     monkeypatch.setattr(neural_layers, "matmul", counted)
     _, cache = model_forward(ids, spec, params)
-    model_backward(cache, labels_to_one_hot(np.arange(batch) % 4), spec, params)
+    model_backward(cache, np.arange(batch) % 4, spec, params)
     assert len(calls) <= per_step * length + per_chunk * math.ceil(length / CHUNK_STEPS) + 8

@@ -233,6 +233,23 @@ class TestRunExperiment:
             run_experiment(config)
         assert [p.name for p in model_dir.iterdir()] == ["metrics.json"]
 
+    def test_rerun_stopped_by_a_data_error_leaves_no_earlier_listing(
+            self, encoded_fixture_dir, tmp_path):
+        # The earlier run's manifest, table and CSV would list GRU's files,
+        # which the failed rerun has removed.
+        out = tmp_path / "out"
+        config = _config(encoded_fixture_dir, out, epochs=1)
+        run_experiment(config)
+        listings = (harness.MANIFEST_FILENAME, harness.RESULTS_TABLE_FILENAME,
+                    harness.RESULTS_CSV_FILENAME)
+        assert all((out / name).is_file() for name in listings)
+        (out / "GRU" / "metrics.json").unlink()
+        (out / "GRU" / "metrics.json").mkdir()
+        with pytest.raises(DataError, match="metrics.json"):
+            run_experiment(config)
+        assert [name for name in listings if (out / name).exists()] == []
+        assert (out / "sRNN" / "metrics.json").is_file()
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         config = _config(tmp_path / "nowhere", tmp_path / "out", models=("LSTM",))
         with pytest.raises(DataError):

@@ -24,13 +24,12 @@ from narrative_seq.neural_layers import (
     model_backward,
     model_forward,
     param_shapes,
-    predict_class,
+    predict_classes,
     predict_proba,
     recurrent_forward,
     srnn_step,
 )
 from narrative_seq.tensor_core import SeededRng
-from narrative_seq.text_pipeline import one_hot
 from narrative_seq.zoo import ZOO_NAMES, build_spec
 
 # ---------------------------------------------------------------------------
@@ -371,7 +370,7 @@ class TestEmbedding:
         params = init_params(spec, 10, SeededRng(3, 2))
         ids = np.array([2, 5, 2], dtype=np.uint32)
         probs, cache = model_forward(ids, spec, params)
-        grads = model_backward(cache, one_hot(DamageLabel.MINOR), spec, params)
+        grads = model_backward(cache, DamageLabel.MINOR, spec, params)
         touched = sorted(np.nonzero(np.abs(grads["embedding"]).sum(axis=1))[0])
         assert set(touched) <= {2, 5}
         assert grads["embedding"].shape == params["embedding"].shape
@@ -487,7 +486,7 @@ class TestModelBackward:
         spec = build_spec("GRU-BLSTM", embedding_dim=3, hidden_units=4, dense_hidden_units=4)
         params = init_params(spec, 10, SeededRng(8, 2))
         probs, cache = model_forward(np.array([1, 2, 3]), spec, params)
-        grads = model_backward(cache, one_hot(DamageLabel.DESTROYED), spec, params)
+        grads = model_backward(cache, DamageLabel.DESTROYED, spec, params)
         assert grads.keys() == params.keys()
         for name in params:
             assert grads[name].shape == params[name].shape
@@ -510,29 +509,37 @@ class TestModelBackward:
         params1 = init_params(spec1, 10, SeededRng(9, 2))
         _, cache = model_forward(np.array([1, 2]), spec1, params1)
         with pytest.raises(DimensionError):
-            model_backward(cache, one_hot(DamageLabel.MINOR), spec2, params1)
+            model_backward(cache, DamageLabel.MINOR, spec2, params1)
+
+    @pytest.mark.parametrize("labels", [np.array([0, 1]), np.array([0, 1, 2, 3]),
+                                        np.array([0, 4, 1]), np.array([0, -1, 1]), 4])
+    def test_labels_not_one_code_per_row_rejected(self, labels):
+        spec = build_spec("GRU", embedding_dim=3, hidden_units=4, dense_hidden_units=4)
+        params = init_params(spec, 10, SeededRng(9, 2))
+        ids = np.array([[1, 2], [3, 4], [5, 6]]) if np.ndim(labels) else np.array([1, 2])
+        _, cache = model_forward(ids, spec, params)
+        with pytest.raises(DimensionError, match="class codes"):
+            model_backward(cache, labels, spec, params)
 
 
 class TestPredictClass:
     def test_clear_maximum(self):
-        assert predict_class(np.array([0.1, 0.7, 0.1, 0.1])) is DamageLabel.SUBSTANTIAL
+        npt.assert_array_equal(predict_classes(np.array([[0.1, 0.7, 0.1, 0.1]])),
+                               [DamageLabel.SUBSTANTIAL])
 
     def test_tie_breaks_to_lowest_index(self):
-        assert predict_class(np.array([0.25, 0.25, 0.25, 0.25])) is DamageLabel.DESTROYED
+        npt.assert_array_equal(predict_classes(np.array([[0.25, 0.25, 0.25, 0.25]])),
+                               [DamageLabel.DESTROYED])
 
     def test_invariant_under_monotone_logit_transform(self):
         from narrative_seq.tensor_core import softmax
 
         rng = np.random.default_rng(15)
         for _ in range(20):
-            logits = rng.normal(size=4)
-            before = predict_class(softmax(logits))
-            after = predict_class(softmax(3.0 * logits + 1.5))
-            assert before is after
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionError):
-            predict_class(np.array([0.5, 0.5]))
+            logits = rng.normal(size=(1, 4))
+            before = predict_classes(softmax(logits, axis=-1))
+            after = predict_classes(softmax(3.0 * logits + 1.5, axis=-1))
+            npt.assert_array_equal(before, after)
 
 
 class TestSpecValidation:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narrative_seq.corpus_ingest import DamageLabel
 from narrative_seq.text_pipeline import (
     OOV_INDEX,
     PAD_INDEX,
@@ -17,7 +16,6 @@ from narrative_seq.text_pipeline import (
     lemmatize,
     load_stoplist,
     normalize_text,
-    one_hot,
     remove_stopwords,
     tokenize,
 )
@@ -218,23 +216,6 @@ class TestEncodeSequence:
         tokens = ["a", "c", "b", "b"]
         ids = encode_sequence(tokens, vocab, length=10)
         assert decode_sequence(ids, vocab) == tokens
-
-
-class TestOneHot:
-    def test_first_class(self):
-        npt.assert_array_equal(one_hot(DamageLabel.DESTROYED), [1, 0, 0, 0])
-
-    def test_last_class(self):
-        npt.assert_array_equal(one_hot(DamageLabel.NO_DAMAGE), [0, 0, 0, 1])
-
-    def test_sum_over_labels(self):
-        total = sum(one_hot(label) for label in DamageLabel)
-        npt.assert_array_equal(total, [1, 1, 1, 1])
-
-    def test_exactly_one_hot(self):
-        for label in DamageLabel:
-            vec = one_hot(label)
-            assert vec.sum() == 1.0 and set(np.unique(vec)) <= {0.0, 1.0}
 
 
 def test_pipeline_determinism():

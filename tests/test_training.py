@@ -1,10 +1,13 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import narrative_seq
 from narrative_seq import training
 from narrative_seq.corpus_ingest import DamageLabel
 from narrative_seq.dataset_io import EncodedDataset
@@ -12,7 +15,6 @@ from narrative_seq.errors import DataError, DimensionError, NumericError
 from narrative_seq.neural_layers import init_params
 from narrative_seq.synthetic import separable_dataset
 from narrative_seq.tensor_core import SeededRng
-from narrative_seq.text_pipeline import one_hot
 from narrative_seq.training import (
     AdamState,
     EpochStats,
@@ -59,25 +61,26 @@ class TestSplitDataset:
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        assert cross_entropy(np.array([1.0, 0, 0, 0]), one_hot(DamageLabel.DESTROYED)) == 0.0
+        loss = cross_entropy(np.array([[1.0, 0, 0, 0]]), np.array([DamageLabel.DESTROYED]))
+        npt.assert_array_equal(loss, [0.0])
 
     def test_uniform(self):
-        loss = cross_entropy(np.full(4, 0.25), one_hot(DamageLabel.MINOR))
-        assert loss == pytest.approx(math.log(4.0), abs=1e-12)
+        loss = cross_entropy(np.full((1, 4), 0.25), np.array([DamageLabel.MINOR]))
+        assert loss[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_floor_keeps_confident_miss_finite(self):
-        loss = cross_entropy(np.array([0.0, 1.0, 0, 0]), one_hot(DamageLabel.DESTROYED))
-        assert loss == pytest.approx(-math.log(1e-12), abs=1e-9)
-        assert math.isfinite(loss)
+        loss = cross_entropy(np.array([[0.0, 1.0, 0, 0]]), np.array([DamageLabel.DESTROYED]))
+        assert loss[0] == pytest.approx(-math.log(1e-12), abs=1e-9)
+        assert np.all(np.isfinite(loss))
 
     def test_nonnegative_with_equality_iff_certain(self):
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            raw = rng.uniform(0.05, 1.0, size=4)
-            probs = raw / raw.sum()
-            loss = cross_entropy(probs, one_hot(DamageLabel.SUBSTANTIAL))
-            assert loss > 0.0
-        assert cross_entropy(np.array([0, 1.0, 0, 0]), one_hot(DamageLabel.SUBSTANTIAL)) == 0.0
+        raw = rng.uniform(0.05, 1.0, size=(50, 4))
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        loss = cross_entropy(probs, np.full(50, DamageLabel.SUBSTANTIAL))
+        assert loss.shape == (50,) and np.all(loss > 0.0)
+        certain = cross_entropy(np.array([[0, 1.0, 0, 0]]), np.array([DamageLabel.SUBSTANTIAL]))
+        npt.assert_array_equal(certain, [0.0])
 
 
 class TestClipGradients:
@@ -256,9 +259,9 @@ class TestTrainModel:
 
         def poisoned(probs, labels):
             calls["n"] += 1
-            return float("nan") if calls["n"] >= 2 else 0.5
+            return np.full(len(labels), np.nan if calls["n"] >= 2 else 0.5)
 
-        monkeypatch.setattr("narrative_seq.training.batch_cross_entropy", poisoned)
+        monkeypatch.setattr("narrative_seq.training.cross_entropy", poisoned)
         spec = build_spec("sRNN", **self.SPEC)
         config = TrainConfig(epochs=3, batch_size=8, seed=7)
         with pytest.raises(NumericError, match=r"epoch 1, batch 2"):
@@ -311,3 +314,38 @@ def test_history_csv_format():
     assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
     assert lines[1] == "1,1.250000,0.500000,1.500000,0.250000"
     assert lines[2] == "2,0.750000,0.875000,1.000000,0.500000"
+
+
+def _reads_loss_floor(node: ast.AST) -> bool:
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name == "LOSS_FLOOR" and isinstance(node.ctx, ast.Load)
+
+
+def _calls_argmax(node: ast.AST) -> bool:
+    # np.argmax(...) and the array method .argmax() alike.
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "argmax")
+
+
+@pytest.mark.parametrize("module,owner,found", [
+    ("training.py", "cross_entropy", _reads_loss_floor),
+    ("neural_layers.py", "predict_classes", _calls_argmax),
+])
+def test_one_loss_and_one_argmax(module, owner, found):
+    # The floored loss is computed in training.cross_entropy alone and the
+    # class decision in neural_layers.predict_classes alone, so training,
+    # scoring and evaluation cannot drift apart.
+    inside, outside = [], []
+    for source in sorted(Path(narrative_seq.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        allowed = set()
+        if source.name == module:
+            func = next(n for n in tree.body
+                        if isinstance(n, ast.FunctionDef) and n.name == owner)
+            allowed = {id(n) for n in ast.walk(func)}
+        for node in ast.walk(tree):
+            if found(node):
+                (inside if id(node) in allowed else outside).append(
+                    f"{source.name}:{node.lineno}")
+    assert inside, f"the scan no longer sees {owner}'s own use"
+    assert outside == [], f"used outside {module} {owner}: {outside}"
