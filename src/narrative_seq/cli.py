@@ -18,8 +18,10 @@ through ``harness.evaluate_on``. Every named split comes from
 ``harness.split_indices``: an empty split exits 2 naming its fraction's key
 before anything is written. ``train`` checks the validation split,
 ``compare`` the validation and test splits and ``evaluate`` the split it
-scores. An ``--out`` that cannot be a directory exits 2 before any training
-starts.
+scores. ``preprocess``, ``train``, ``evaluate --out`` and ``compare`` claim
+their output names through ``harness.claim_outputs`` before any work
+starts, so an ``--out`` that cannot hold them exits 2 before any
+preprocessing, training or scoring.
 """
 
 from __future__ import annotations
@@ -142,11 +144,12 @@ def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
     if not records:
         raise DataError("no usable records after the completed-investigation filter")
     stoplist = load_stoplist(config.stoplist) if config.stoplist else None
+    out_dir, _ = harness.claim_outputs(
+        args.out, [dataset_io.ENCODED_FILENAME, dataset_io.VOCAB_FILENAME])
     sequences, labels, vocab = preprocess_corpus(
         records, vocab_size=config.vocab_size, seq_len=config.seq_len,
         stoplist=stoplist, pad=config.pad,
     )
-    out_dir = harness.make_output_dir(args.out)
     dataset = dataset_io.EncodedDataset(
         sequences=sequences, labels=labels, vocab_size=vocab.size
     )
@@ -181,11 +184,13 @@ def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
         raise CheckpointError(f"{args.model_file}: embedding has {rows} rows, but the "
                               f"dataset's vocabulary size is {dataset.vocab_size}")
     indices = harness.split_indices(len(dataset), config.split, args.split)
+    if args.out:
+        out_dir, _ = harness.claim_outputs(args.out, [harness.METRICS_FILENAME])
+        metrics_path = out_dir / harness.METRICS_FILENAME
     report = harness.evaluate_on(spec, params, dataset, indices)
     print(f"{spec.name} on the {args.split} split ({indices.size} records)")
     print(format_evaluation_summary(report), end="")
     if args.out:
-        metrics_path = harness.make_output_dir(args.out) / harness.METRICS_FILENAME
         harness.write_json(metrics_path, report.to_dict())
         print(f"metrics written to {metrics_path}")
     return 0

@@ -151,16 +151,19 @@ def _csv_rows(text: str, path: Path) -> list[tuple[int, object]]:
     # io.StringIO keeps RFC-4180 quoted newlines inside fields intact.
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty CSV file (missing header)") from None
+        table = list(reader)
+    except csv.Error as exc:  # e.g. an unclosed quote running past the field limit
+        raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from exc
+    if not table:
+        raise DataError(f"{path}: empty CSV file (missing header)")
+    header = table[0]
     expected = ["report_id", "narrative", "damage_level", "investigation_complete"]
     if header != expected:
         raise DataError(
             f"{path}: CSV header {header!r} does not match required {expected!r}"
         )
     rows: list[tuple[int, object]] = []
-    for i, row in enumerate(reader):
+    for i, row in enumerate(table[1:]):
         if len(row) != 4:
             rows.append((i, {"_malformed": f"expected 4 fields, got {len(row)}"}))
             continue

@@ -7,13 +7,19 @@ without stopping the others. All artifacts are content-deterministic
 (no timestamps), so identical configs produce byte-identical outputs;
 the manifest lists every written file with its SHA-256.
 
+``claim_outputs`` is the one owner of a command's output names: before any
+work starts it creates the output directory and unlinks whatever an earlier
+run left at each name the command may write, and it turns a directory
+standing at a name, a file standing where the directory must be or a
+permission error into a ``DataError``. So an unusable output path fails
+before any training, scoring or preprocessing, and a command that stops
+part-way keeps none of an earlier run's files at its names.
+
 ``train_and_save`` is the one path that trains a model and writes its
 checkpoint and history (and, for ``compare``, its test metrics):
 ``run_experiment`` calls it per model, and the ``train`` subcommand calls it
-once. It creates the model directory before training, so an unusable output
-path fails fast. When training or writing fails it removes the artifact
-names it would have written, so a failed rerun keeps none of an earlier
-run's files. Every artifact is written through ``dataset_io.write_atomic``
+once. When training or writing fails it removes the artifact names it would
+have written. Every artifact is written through ``dataset_io.write_atomic``
 (JSON through ``write_json``), so an interrupted run leaves each file whole
 or absent.
 
@@ -52,6 +58,8 @@ METRICS_FILENAME = "metrics.json"
 RESULTS_TABLE_FILENAME = "results_table.txt"
 RESULTS_CSV_FILENAME = "results.csv"
 MANIFEST_FILENAME = "manifest.json"
+# What train_and_save writes into a model directory; metrics only with a test split.
+MODEL_ARTIFACTS = (CHECKPOINT_FILENAME, HISTORY_FILENAME, METRICS_FILENAME)
 
 
 @dataclass(frozen=True)
@@ -148,18 +156,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(read_config_file(path))
 
 
-def make_output_dir(path: str | Path) -> Path:
-    """Create the directory ``path`` and its parents unless they exist.
+def claim_outputs(directory: str | Path, names) -> tuple[Path, bool]:
+    """Create ``directory`` (and its parents) and unlink any file an earlier
+    run left at each of ``names`` (paths relative to it); returns the
+    directory and whether this call created it.
 
-    A file standing where a directory must be is a ``DataError`` naming the
-    path, not an ``OSError`` escaping the CLI.
+    This is the one place that decides what a command may leave in its
+    output directory, and every command calls it before any work starts. A
+    directory standing at a name, a file standing where the directory must
+    be, or a permission error is a ``DataError`` naming the path.
     """
-    out = Path(path)
+    out = Path(directory)
+    created = not out.is_dir()
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise DataError(f"cannot create output directory {str(out)!r}: {exc.strerror}") from exc
-    return out
+        for name in names:
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
+    return out, created
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -198,20 +213,17 @@ def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.Enco
     records and write its metrics. Returns ``(spec, history, report)``, the
     report ``None`` without ``test_idx``.
 
-    The directory is created, or rejected with a ``DataError``, before
-    training starts, so an unusable output path costs no training time. If
-    training or writing fails, the artifact names this call would have
-    written are unlinked (never a recursive delete), and a directory this
-    call created is removed again when it is then empty.
+    The artifact names are claimed (``claim_outputs``) before training
+    starts, so an unusable output path costs no training time. If training
+    or writing fails, the artifact names are unlinked again (never a
+    recursive delete), and a directory this call created is removed again
+    when it is then empty.
     """
     spec = zoo.build_spec(name, embedding_dim=config.embedding_dim,
                           hidden_units=config.hidden_units,
                           dense_hidden_units=config.dense_hidden_units)
-    artifacts = [CHECKPOINT_FILENAME, HISTORY_FILENAME]
-    if test_idx is not None:
-        artifacts.append(METRICS_FILENAME)
-    created = not Path(model_dir).exists()
-    model_dir = make_output_dir(model_dir)
+    artifacts = MODEL_ARTIFACTS if test_idx is not None else MODEL_ARTIFACTS[:2]
+    model_dir, created = claim_outputs(model_dir, artifacts)
     report = None
     try:
         params, history = train_model(spec, dataset, config.train, config.split)
@@ -221,7 +233,6 @@ def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.Enco
             report = evaluate_on(spec, params, dataset, test_idx)
             write_json(model_dir / METRICS_FILENAME, report.to_dict())
     except BaseException:
-        # OSError: an artifact name may be a directory, which unlink refuses.
         for artifact in artifacts:
             with contextlib.suppress(OSError):
                 (model_dir / artifact).unlink(missing_ok=True)
@@ -243,44 +254,36 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Train, evaluate, and serialize every selected model; returns the
     manifest that was also written to the output directory.
 
-    The dataset is read and its validation and test splits checked before
-    the output directory is created, so a run that cannot validate or
-    evaluate trains nothing. The manifest, results table and CSV of an
-    earlier run in the same directory are removed before the first model
-    trains, so a run that stops part-way leaves no listing of files it has
-    replaced or removed, and the directory's results are this run's.
+    The dataset is read and its validation and test splits checked, and then
+    every output name of the run is claimed (``claim_outputs``): the
+    manifest, results table and CSV, and each selected model's checkpoint,
+    history and metrics. So a run that cannot validate, evaluate or write
+    trains nothing, and a run that stops part-way keeps none of an earlier
+    run's files of the models it selected and no listing of them.
     """
     dataset, fingerprint = read_dataset_dir(config.data_path)
     split_indices(len(dataset), config.split, "validation")
     test_idx = split_indices(len(dataset), config.split, "test")
-    out_dir = make_output_dir(config.output_dir)
-    for stale in (MANIFEST_FILENAME, RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME):
-        with contextlib.suppress(OSError):  # a directory may stand at the name
-            (out_dir / stale).unlink(missing_ok=True)
+    model_files = [f"{name}/{artifact}" for name in config.model_names
+                   for artifact in MODEL_ARTIFACTS]
+    out_dir, _ = claim_outputs(config.output_dir, [
+        MANIFEST_FILENAME, RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME, *model_files])
 
-    def run_one(name: str) -> dict:
+    models: dict[str, dict] = {}
+    reports: list[tuple[str, MetricsReport]] = []
+    for name in config.model_names:
         try:
             _, _, report = train_and_save(name, config, dataset, fingerprint, out_dir / name,
                                           test_idx)
         except NumericError as exc:
-            return {"name": name, "status": "failed", "error": str(exc)}
-        return {
-            "name": name,
-            "status": "ok",
-            "report": report,
-            "files": [
-                f"{name}/{CHECKPOINT_FILENAME}",
-                f"{name}/{HISTORY_FILENAME}",
-                f"{name}/{METRICS_FILENAME}",
-            ],
-        }
+            models[name] = {"status": "failed", "error": str(exc)}
+            continue
+        models[name] = {"status": "ok"}
+        reports.append((name, report))
 
-    outcomes = [run_one(name) for name in config.model_names]
-
-    succeeded = [o for o in outcomes if o["status"] == "ok"]
-    written: list[str] = [f for o in succeeded for f in o["files"]]
-    if succeeded:
-        table_text, csv_text = render_results_table([(o["name"], o["report"]) for o in succeeded])
+    written = [f"{name}/{artifact}" for name, _ in reports for artifact in MODEL_ARTIFACTS]
+    if reports:
+        table_text, csv_text = render_results_table(reports)
         dataset_io.write_atomic(out_dir / RESULTS_TABLE_FILENAME, table_text.encode("utf-8"))
         dataset_io.write_atomic(out_dir / RESULTS_CSV_FILENAME, csv_text.encode("utf-8"))
         written += [RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME]
@@ -294,14 +297,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "learning_rate": config.train.learning_rate,
         },
         "vocab_fingerprint": fingerprint,
-        "models": {
-            o["name"]: (
-                {"status": "ok"}
-                if o["status"] == "ok"
-                else {"status": "failed", "error": o["error"]}
-            )
-            for o in outcomes
-        },
+        "models": models,
         "files": {
             rel: hashlib.sha256((out_dir / rel).read_bytes()).hexdigest()
             for rel in sorted(written)

@@ -74,14 +74,15 @@ def sigmoid(x: Tensor) -> Tensor:
 
     With ``e = exp(-|x|)`` this is ``1/(1+e)`` for ``x >= 0`` and ``e/(1+e)``
     otherwise, which never overflows and is bit-identical to evaluating each
-    branch on its own elements. ``minimum(x, -x)`` equals ``-|x|`` but keeps
-    the sign bit of a NaN input. ``exp`` underflows to zero or a subnormal
-    for large ``|x|``; that is the correctly rounded result, so underflow is
-    not reported.
+    branch on its own elements; the branch picks the numerator, so there is
+    one division. ``minimum(x, -x)`` equals ``-|x|`` but keeps the sign bit
+    of a NaN input. ``exp`` underflows to zero or a subnormal for large
+    ``|x|``; that is the correctly rounded result, so underflow is not
+    reported.
     """
     with np.errstate(under="ignore"):
         e = np.exp(np.minimum(x, -x))
-        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -37,14 +37,11 @@ def build_spec(name: str,
                embedding_dim: int = DEFAULT_EMBEDDING_DIM,
                hidden_units: int = DEFAULT_HIDDEN_UNITS,
                dense_hidden_units: int = DEFAULT_DENSE_HIDDEN_UNITS) -> ModelSpec:
-    """ModelSpec for one zoo name; layers stack in name order."""
-    tokens = name.split("-")
-    try:
-        kinds = [_LAYER_TOKENS[t] for t in tokens]
-    except KeyError as exc:
-        raise DataError(
-            f"unknown model name {name!r}; zoo models are {', '.join(ZOO_NAMES)}"
-        ) from exc
+    """ModelSpec for one zoo name; layers stack in name order. A name not in
+    ``ZOO_NAMES`` is a ``DataError``, even one made of zoo layer tokens."""
+    if name not in ZOO_NAMES:
+        raise DataError(f"unknown model name {name!r}; zoo models are {', '.join(ZOO_NAMES)}")
+    kinds = [_LAYER_TOKENS[t] for t in name.split("-")]
     stack = tuple(
         RecurrentLayerSpec(
             kind=kind,

@@ -3,7 +3,9 @@ speed with one subprocess smoke test for the installed entry point.
 """
 
 import csv
+import errno
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -17,8 +19,10 @@ from narrative_seq import dataset_io, harness
 from narrative_seq.checkpoint import save_checkpoint
 from narrative_seq.cli import main
 from narrative_seq.errors import NumericError
-from narrative_seq.neural_layers import init_params
+from narrative_seq.neural_layers import init_params, predict_proba
 from narrative_seq.tensor_core import SeededRng
+from narrative_seq.text_pipeline import preprocess_corpus
+from narrative_seq.training import train_model
 from narrative_seq.zoo import build_spec
 from narrative_seq.synthetic import generate_fixture_corpus, records_to_json
 
@@ -62,8 +66,12 @@ class TestExitCodes:
         out = tmp_path / "enc"
         run_cli("preprocess", "--data", str(corpus_file), "--out", str(out),
                 "--seq-len", "8", "--vocab-size", "50")
-        assert run_cli("train", "--data", str(out), "--model", "CNN",
-                       "--out", str(tmp_path / "m")) == 2
+        # LSTM-GRU is made of zoo layers but is not one of the ten zoo models.
+        for model in ("CNN", "LSTM-GRU"):
+            assert run_cli("train", "--data", str(out), "--model", model,
+                           "--out", str(tmp_path / "m")) == 2
+            assert f"unknown model name {model!r}" in capsys.readouterr().err
+            assert not (tmp_path / "m").exists()
 
     def test_unknown_extension_needs_format(self, tmp_path):
         weird = tmp_path / "corpus.dat"
@@ -342,13 +350,19 @@ def test_out_naming_a_file_is_data_error(tmp_path, corpus_file, encoded_dir, mod
     assert out.read_text(encoding="utf-8") == "not a directory"
 
 
+def _record_calls(monkeypatch, real):
+    """Stub every module's binding of ``real``, however the CLI reaches it;
+    returns the list the stub appends each call's arguments to."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("narrative_seq") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, lambda *args: calls.append(args))
+    return calls
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_train_rejects_out_before_training(tmp_path, encoded_dir, monkeypatch, capsys, under):
-    # Stub every module's binding of train_model, however the CLI reaches it.
-    trained, real = [], harness.train_model
-    for name, module in list(sys.modules.items()):
-        if name.startswith("narrative_seq") and getattr(module, "train_model", None) is real:
-            monkeypatch.setattr(module, "train_model", lambda *args: trained.append(args))
+    trained = _record_calls(monkeypatch, harness.train_model)
     afile = tmp_path / "afile"
     afile.write_text("not a directory", encoding="utf-8")
     out = afile / "run" if under else afile
@@ -428,6 +442,54 @@ def test_directory_at_an_artifact_path_is_data_error(tmp_path, corpus_file, enco
     assert err.startswith("data error") and str(out / artifact) in err
     assert [p.name for p in out.iterdir()] == [artifact]
     assert list((out / artifact).iterdir()) == []
+
+
+@pytest.mark.parametrize("command,artifact,work", [
+    ("preprocess", dataset_io.VOCAB_FILENAME, preprocess_corpus),
+    ("train", harness.CHECKPOINT_FILENAME, train_model),
+    ("evaluate", harness.METRICS_FILENAME, predict_proba),
+    ("compare", harness.MANIFEST_FILENAME, train_model),
+    ("compare", f"GRU/{harness.CHECKPOINT_FILENAME}", train_model),
+], ids=["preprocess", "train", "evaluate", "compare-manifest", "compare-second-model"])
+def test_output_names_are_claimed_before_any_work(tmp_path, corpus_file, encoded_dir,
+                                                   model_file, monkeypatch, capsys,
+                                                   command, artifact, work):
+    # A directory at any name the command would write: exit 2 naming it
+    # before any preprocessing, training or scoring, and nothing else made.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, epochs=1)))
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    calls = _record_calls(monkeypatch, work)
+    argv = _command_argv(command, out, corpus_file, encoded_dir, model_file)
+    if command == "compare":
+        argv[-1] = "sRNN,GRU"
+    assert run_cli("--config", str(config), *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and f"{str(out / artifact)!r}: Is a directory" in err
+    assert calls == []
+    left = {p.relative_to(out) for p in out.rglob("*")}
+    assert left == {Path(artifact), *Path(artifact).parents} - {Path(".")}
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "compare"])
+def test_unwritable_out_is_data_error(tmp_path, corpus_file, encoded_dir, model_file,
+                                      monkeypatch, capsys, command):
+    # Tests may run as root, for whom a read-only directory is writable, so
+    # mkdir itself refuses.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL, epochs=1)))
+    out = tmp_path / "out"
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    argv = _command_argv(command, out, corpus_file, encoded_dir, model_file)
+    assert run_cli("--config", str(config), *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and f"{str(out)!r}: Permission denied" in err
+    assert not out.exists()
 
 
 def test_compare_and_evaluate_write_the_same_metrics(tmp_path, encoded_dir):

@@ -136,6 +136,12 @@ class TestLoadReportsCsv:
         assert [r.report_id for r in result.records] == ["r3"]
         assert len(result.warnings) == 2
 
+    def test_unclosed_quote_past_the_field_limit_is_data_error(self, tmp_path):
+        # csv refuses a field over 128 KiB; the unclosed quote runs to the end.
+        path = self._write(tmp_path, 'r1,story,Minor,true\nr2,"' + "x" * (200 * 1024) + "\n")
+        with pytest.raises(DataError, match=r"corpus\.csv: malformed CSV at line 3: field larger"):
+            load_reports(path, "csv")
+
 
 class TestFilterCompleted:
     def test_identity_when_all_complete(self):

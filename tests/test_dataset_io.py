@@ -240,20 +240,43 @@ def _writes_a_file(call: ast.Call) -> bool:
                for m in modes)
 
 
-def test_write_atomic_is_the_only_file_writer():
-    # Every artifact byte goes through dataset_io.write_atomic, so how an
-    # artifact is written (temp sibling, then rename) is decided once.
+def _calls_by_owner(is_target, owners):
+    """Source locations of the calls in ``src/narrative_seq`` that
+    ``is_target`` picks, split into those inside the functions named per
+    module in ``owners`` and those outside them."""
     inside, outside = [], []
     for source in sorted(Path(narrative_seq.__file__).parent.glob("*.py")):
         tree = ast.parse(source.read_text(encoding="utf-8"))
-        allowed = set()
-        if source.name == "dataset_io.py":
-            writer = next(n for n in tree.body
-                          if isinstance(n, ast.FunctionDef) and n.name == "write_atomic")
-            allowed = {id(n) for n in ast.walk(writer)}
+        allowed = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef)
+                   and f.name in owners.get(source.name, ()) for n in ast.walk(f)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _writes_a_file(node):
+            if isinstance(node, ast.Call) and is_target(node):
                 (inside if id(node) in allowed else outside).append(
                     f"{source.name}:{node.lineno}")
+    return inside, outside
+
+
+def test_write_atomic_is_the_only_file_writer():
+    # Every artifact byte goes through dataset_io.write_atomic, so how an
+    # artifact is written (temp sibling, then rename) is decided once.
+    inside, outside = _calls_by_owner(_writes_a_file, {"dataset_io.py": ("write_atomic",)})
     assert inside, "the scan no longer sees write_atomic's own write"
     assert outside == [], f"files written outside dataset_io.write_atomic: {outside}"
+
+
+def _changes_a_directory(call: ast.Call) -> bool:
+    """``mkdir``, ``unlink`` or ``rmdir``, or their ``os`` and ``shutil`` kin."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("mkdir", "makedirs", "unlink", "rmdir", "removedirs", "rmtree")
+
+
+def test_claim_outputs_owns_the_output_names():
+    # harness.claim_outputs decides what a command may leave in its output
+    # directory. Beside it only train_and_save's failure clean-up and
+    # write_atomic's temp file create or remove a directory entry.
+    owners = {"harness.py": ("claim_outputs", "train_and_save"),
+              "dataset_io.py": ("write_atomic",)}
+    inside, outside = _calls_by_owner(_changes_a_directory, owners)
+    assert inside, "the scan no longer sees the owners' own calls"
+    assert outside == [], f"mkdir, unlink or rmdir outside their owners: {outside}"

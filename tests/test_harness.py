@@ -248,7 +248,10 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="metrics.json"):
             run_experiment(config)
         assert [name for name in listings if (out / name).exists()] == []
-        assert (out / "sRNN" / "metrics.json").is_file()
+        # The claim stops at GRU's metrics.json before any model trains; the
+        # earlier files of the selected models it passed on the way are gone.
+        assert list((out / "sRNN").iterdir()) == []
+        assert [p.name for p in (out / "GRU").iterdir()] == ["metrics.json"]
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         config = _config(tmp_path / "nowhere", tmp_path / "out", models=("LSTM",))

@@ -53,6 +53,8 @@ def test_unknown_name_rejected():
         build_spec("CNN")
     with pytest.raises(DataError):
         build_spec("LSTM-TRANSFORMER")
+    with pytest.raises(DataError, match="LSTM-GRU"):  # zoo layers, but not a zoo model
+        build_spec("LSTM-GRU")
 
 
 def test_default_widths():
