@@ -6,10 +6,11 @@ length, the UTF-8 JSON header, then the raw tensor blob. The header records
 the format version, the model spec, the vocabulary fingerprint, and a
 manifest of (tensor name, shape, byte offset) entries in parameter order.
 
-Checkpoints refuse to load against a mismatched vocabulary fingerprint:
+Every load compares the vocabulary fingerprint and refuses a mismatch:
 token ids are only meaningful relative to the vocabulary they were encoded
-with. Storage is float64 by default; ``dtype="float32"`` halves the file at
-the cost of precision (parameters are always float64 in memory).
+with. The blob is always written as float64, so a load gives back the saved
+parameters bit for bit; a float32 blob, which earlier builds could write,
+still loads (parameters are always float64 in memory).
 """
 
 from __future__ import annotations
@@ -32,22 +33,21 @@ _HEADER_KEYS = ("model_spec", "vocab_fingerprint", "blob_dtype", "blob_bytes", "
 
 
 def save_checkpoint(params: ParamDict, spec: ModelSpec, vocab_fingerprint: str,
-                    path: str | Path, dtype: str = "float64") -> None:
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
-    np_dtype = np.dtype(_DTYPES[dtype])
+                    path: str | Path) -> None:
+    """Write ``params`` with their spec and vocabulary fingerprint to
+    ``path`` as a float64 blob, through ``write_atomic``."""
     manifest = []
     blob = bytearray()
     for name, tensor in params.items():
         manifest.append(
             {"name": name, "shape": list(tensor.shape), "offset": len(blob)}
         )
-        blob += np.ascontiguousarray(tensor, dtype=np_dtype).tobytes()
+        blob += np.ascontiguousarray(tensor, dtype="<f8").tobytes()
     header = {
         "format_version": FORMAT_VERSION,
         "model_spec": spec.to_dict(),
         "vocab_fingerprint": vocab_fingerprint,
-        "blob_dtype": dtype,
+        "blob_dtype": "float64",
         "blob_bytes": len(blob),
         "tensors": manifest,
     }
@@ -58,12 +58,12 @@ def save_checkpoint(params: ParamDict, spec: ModelSpec, vocab_fingerprint: str,
         raise CheckpointError(f"cannot write checkpoint: {exc}") from exc
 
 
-def load_checkpoint(path: str | Path, expected_vocab_fingerprint: str | None
+def load_checkpoint(path: str | Path, expected_vocab_fingerprint: str
                     ) -> tuple[ModelSpec, ParamDict]:
     """Reconstruct (spec, params); params are float64 regardless of storage.
 
-    Pass ``None`` as the expected fingerprint only for tooling that
-    inspects checkpoints without a dataset at hand.
+    A checkpoint whose vocabulary fingerprint differs from
+    ``expected_vocab_fingerprint`` is refused with a ``CheckpointError``.
     """
     path = Path(path)
     try:
@@ -102,15 +102,12 @@ def load_checkpoint(path: str | Path, expected_vocab_fingerprint: str | None
 
 
 def _read_body(path: Path, header: dict, blob: bytes,
-               expected_vocab_fingerprint: str | None) -> tuple[ModelSpec, ParamDict]:
-    if (
-        expected_vocab_fingerprint is not None
-        and header["vocab_fingerprint"] != expected_vocab_fingerprint
-    ):
+               expected_vocab_fingerprint: str) -> tuple[ModelSpec, ParamDict]:
+    if header["vocab_fingerprint"] != expected_vocab_fingerprint:
         raise CheckpointError(
             f"{path}: vocabulary fingerprint mismatch: checkpoint was trained "
             f"against {header['vocab_fingerprint'][:12]}..., dataset has "
-            f"{expected_vocab_fingerprint[:12]}..."
+            f"{expected_vocab_fingerprint!s:.12}..."
         )
     if len(blob) != header["blob_bytes"]:
         raise CheckpointError(

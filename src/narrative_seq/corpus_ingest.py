@@ -41,6 +41,8 @@ class DamageLabel(IntEnum):
         return _DISPLAY_NAMES[self]
 
 
+NUM_CLASSES = len(DamageLabel)
+
 _DISPLAY_NAMES = {
     DamageLabel.DESTROYED: "Destroyed",
     DamageLabel.SUBSTANTIAL: "Substantial",
@@ -119,14 +121,13 @@ def load_reports(path: str | Path, format: str) -> LoadResult:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
 
     if format == "json":
-        rows = _json_rows(text, path)
+        parsed = _json_records(text, path)
     else:
-        rows = _csv_rows(text, path)
+        parsed = _csv_records(text, path)
 
     result = LoadResult(records=[])
     seen: set[str] = set()
-    for position, row in rows:
-        record, problem = _row_to_record(row)
+    for position, record, problem in parsed:
         if record is None:
             result.warnings.append(f"entry {position}: {problem}")
             continue
@@ -137,17 +138,21 @@ def load_reports(path: str | Path, format: str) -> LoadResult:
     return result
 
 
-def _json_rows(text: str, path: Path) -> list[tuple[int, object]]:
+# (entry position, parsed record or None, the problem that skipped it)
+_Parsed = list[tuple[int, OccurrenceRecord | None, str]]
+
+
+def _json_records(text: str, path: Path) -> _Parsed:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
         raise DataError(f"{path}: expected a top-level JSON array of records")
-    return list(enumerate(data))
+    return [(i, *_row_to_record(entry)) for i, entry in enumerate(data)]
 
 
-def _csv_rows(text: str, path: Path) -> list[tuple[int, object]]:
+def _csv_records(text: str, path: Path) -> _Parsed:
     # io.StringIO keeps RFC-4180 quoted newlines inside fields intact.
     reader = csv.reader(io.StringIO(text))
     try:
@@ -162,10 +167,10 @@ def _csv_rows(text: str, path: Path) -> list[tuple[int, object]]:
         raise DataError(
             f"{path}: CSV header {header!r} does not match required {expected!r}"
         )
-    rows: list[tuple[int, object]] = []
+    parsed: _Parsed = []
     for i, row in enumerate(table[1:]):
         if len(row) != 4:
-            rows.append((i, {"_malformed": f"expected 4 fields, got {len(row)}"}))
+            parsed.append((i, None, f"expected 4 fields, got {len(row)}"))
             continue
         flag = row[3].strip().lower()
         complete: object
@@ -175,25 +180,18 @@ def _csv_rows(text: str, path: Path) -> list[tuple[int, object]]:
             complete = False
         else:
             complete = row[3]  # leaves a non-bool for _row_to_record to reject
-        rows.append(
-            (
-                i,
-                {
-                    "report_id": row[0],
-                    "narrative": row[1],
-                    "damage_level": row[2],
-                    "investigation_complete": complete,
-                },
-            )
-        )
-    return rows
+        parsed.append((i, *_row_to_record({
+            "report_id": row[0],
+            "narrative": row[1],
+            "damage_level": row[2],
+            "investigation_complete": complete,
+        })))
+    return parsed
 
 
 def _row_to_record(row: object) -> tuple[OccurrenceRecord | None, str]:
     if not isinstance(row, dict):
         return None, f"expected an object, got {type(row).__name__}"
-    if "_malformed" in row:
-        return None, str(row["_malformed"])
     missing = [
         k
         for k in ("report_id", "narrative", "damage_level", "investigation_complete")

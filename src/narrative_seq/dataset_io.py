@@ -27,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus_ingest import NUM_CLASSES
 from .errors import DataError
-from .text_pipeline import NUM_CLASSES, Vocabulary
+from .text_pipeline import Vocabulary
 
 MAGIC = b"NSEQ1"
 _HEADER = struct.Struct("<III")

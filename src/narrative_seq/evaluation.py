@@ -18,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus_ingest import ClassDistribution, DamageLabel
+from .corpus_ingest import NUM_CLASSES, ClassDistribution, DamageLabel
 from .errors import DimensionError
-from .text_pipeline import NUM_CLASSES
 
 _AGGREGATE_KEYS = ("precision", "recall", "f1")
 

@@ -82,11 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.model_names:
             raise DataError("model_names must not be empty")
-        unknown = [n for n in self.model_names if n not in zoo.ZOO_NAMES]
-        if unknown:
-            raise DataError(
-                f"unknown model names {unknown}; zoo models are {list(zoo.ZOO_NAMES)}"
-            )
+        for name in self.model_names:  # zoo's one name rule, as `train --model` meets it
+            zoo.build_spec(name)
         repeated = list(dict.fromkeys(n for n in self.model_names if self.model_names.count(n) > 1))
         if repeated:
             raise DataError(f"model names {repeated} are listed more than once")

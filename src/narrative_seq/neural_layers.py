@@ -65,9 +65,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .corpus_ingest import NUM_CLASSES
 from .errors import DimensionError
 from .tensor_core import SeededRng, Tensor, matmul, relu, sigmoid, softmax, uniform_init
-from .text_pipeline import NUM_CLASSES
 
 
 class CellKind(Enum):

@@ -34,8 +34,6 @@ OOV_INDEX = 1
 DEFAULT_VOCAB_SIZE = 100_000
 DEFAULT_SEQUENCE_LENGTH = 2000
 
-NUM_CLASSES = 4
-
 _NON_ALNUM = re.compile(r"[^a-z0-9 ]")
 _VOWELS = frozenset("aeiouy")
 

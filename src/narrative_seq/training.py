@@ -14,9 +14,12 @@ records the batches predicted right, each batch measured with the
 parameters as they stood before its update. The train split is not
 re-scored.
 
-Gradients are reduced as the batch mean, clipped to a global norm, then fed
-to Adam with bias correction. Everything is deterministic given the config
-seed: per-epoch shuffles come from seed substreams, never global state.
+Gradients are reduced as the batch mean, clipped to the global norm
+``CLIP_NORM``, then fed to Adam with bias correction at the constants
+``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``: the paper varies the
+architecture, not the optimizer, so only the learning rate is a setting.
+Everything is deterministic given the config seed: per-epoch shuffles come
+from seed substreams, never global state.
 """
 
 from __future__ import annotations
@@ -41,6 +44,13 @@ from .neural_layers import (
 from .tensor_core import SeededRng
 
 LOSS_FLOOR = 1e-12
+
+# Adam's moment decay rates and denominator guard, at the values Kingma & Ba
+# recommend (arXiv:1412.6980), and the global gradient-norm clip.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+CLIP_NORM = 5.0
 
 # Records per forward-only scoring batch: the epoch-end validation score,
 # evaluate and compare all score through score_records at this size.
@@ -71,21 +81,12 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    clip_norm: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "learning_rate", "clip_norm", "epsilon"):
+        for name in ("epochs", "batch_size", "learning_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(
-                    f"{name} must lie strictly between 0 and 1, got {getattr(self, name)!r}"
-                )
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
@@ -177,7 +178,9 @@ def clip_gradients(grads: ParamDict, clip_norm: float) -> float:
 
 def adam_update(params: ParamDict, grads: ParamDict, state: AdamState,
                 config: TrainConfig) -> tuple[ParamDict, AdamState]:
-    """One bias-corrected Adam step over every parameter tensor, in place.
+    """One bias-corrected Adam step over every parameter tensor, in place,
+    at ``config.learning_rate`` with ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPSILON``.
 
     The step counter increments exactly once per call. Gradients are
     expected to be clipped already.
@@ -187,9 +190,8 @@ def adam_update(params: ParamDict, grads: ParamDict, state: AdamState,
             f"gradient names {sorted(grads)} do not match parameters {sorted(params)}"
         )
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    bias1 = 1.0 - b1 ** state.t
-    bias2 = 1.0 - b2 ** state.t
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
     for name, g in grads.items():
         if g.shape != params[name].shape:
             raise DimensionError(
@@ -198,13 +200,13 @@ def adam_update(params: ParamDict, grads: ParamDict, state: AdamState,
             )
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / bias1
         v_hat = v / bias2
-        params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params, state
 
 
@@ -241,9 +243,10 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
     Refuses a split that leaves the validation holdout empty with a
     ``DataError`` before training. Per epoch: shuffle the train indices
     with an epoch-derived seed, step through mini-batches (the last one may
-    be short), backpropagate the batch-mean loss, clip and apply Adam. The
-    epoch's train loss and accuracy are taken from those batch forwards;
-    the validation holdout is then scored with the epoch's final params.
+    be short), backpropagate the batch-mean loss, clip to ``CLIP_NORM`` and
+    apply Adam. The epoch's train loss and accuracy are taken from those
+    batch forwards; the validation holdout is then scored with the epoch's
+    final params.
     """
     train_idx = split_indices(len(dataset), split, "train")
     val_idx = split_indices(len(dataset), split, "validation")
@@ -269,7 +272,7 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
             loss_sum += loss * batch.size
             hits += int(np.sum(predict_classes(probs) == labels))
             grads = model_backward(cache, labels, spec, params)
-            clip_gradients(grads, config.clip_norm)
+            clip_gradients(grads, CLIP_NORM)
             adam_update(params, grads, state, config)
             # Release this batch's cache and gradients before the next
             # forward builds its own; holding both doubles peak memory at

@@ -56,9 +56,22 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
     def test_float32_storage_round_trips_as_float64(self, tmp_path, spec_and_params):
+        # save_checkpoint writes float64 only; a float32 file, as earlier
+        # builds wrote it, is made by re-encoding a float64 file's blob and
+        # header, and still loads.
         spec, params = spec_and_params
         path = tmp_path / "half.nsck"
-        save_checkpoint(params, spec, FP, path, dtype="float32")
+        save_checkpoint(params, spec, FP, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+        start = len(MAGIC) + 8
+        header = json.loads(raw[start:start + header_len])
+        blob = np.frombuffer(raw[start + header_len:], dtype="<f8").astype("<f4").tobytes()
+        for entry in header["tensors"]:
+            entry["offset"] //= 2
+        header.update(blob_dtype="float32", blob_bytes=len(blob))
+        body = json.dumps(header).encode()
+        path.write_bytes(MAGIC + struct.pack("<Q", len(body)) + body + blob)
         _, loaded = load_checkpoint(path, FP)
         assert loaded["embedding"].dtype == np.float64
         npt.assert_allclose(loaded["embedding"], params["embedding"], atol=1e-6)
@@ -72,12 +85,14 @@ class TestGuards:
         with pytest.raises(CheckpointError, match="fingerprint"):
             load_checkpoint(path, "b" * 64)
 
-    def test_none_fingerprint_skips_check(self, tmp_path, spec_and_params):
+    @pytest.mark.parametrize("expected", [None, "b" * 64], ids=["none", "other"])
+    def test_every_load_checks_the_fingerprint(self, tmp_path, spec_and_params, expected):
         spec, params = spec_and_params
         path = tmp_path / "model.nsck"
         save_checkpoint(params, spec, FP, path)
-        loaded_spec, _ = load_checkpoint(path, None)
-        assert loaded_spec.name == "GRU-LSTM"
+        with pytest.raises(CheckpointError, match="fingerprint mismatch") as info:
+            load_checkpoint(path, expected)
+        assert "corrupt header" not in str(info.value)
 
     def test_truncated_blob_names_byte_counts(self, tmp_path, spec_and_params):
         spec, params = spec_and_params

@@ -66,12 +66,17 @@ class TestExitCodes:
         out = tmp_path / "enc"
         run_cli("preprocess", "--data", str(corpus_file), "--out", str(out),
                 "--seq-len", "8", "--vocab-size", "50")
+        capsys.readouterr()
         # LSTM-GRU is made of zoo layers but is not one of the ten zoo models.
+        # train and compare refuse a name with the one message of zoo.build_spec.
         for model in ("CNN", "LSTM-GRU"):
-            assert run_cli("train", "--data", str(out), "--model", model,
-                           "--out", str(tmp_path / "m")) == 2
-            assert f"unknown model name {model!r}" in capsys.readouterr().err
-            assert not (tmp_path / "m").exists()
+            errors = []
+            for argv in (["train", "--model", model], ["compare", "--models", model]):
+                assert run_cli(*argv, "--data", str(out), "--out", str(tmp_path / "m")) == 2
+                errors.append(capsys.readouterr().err)
+                assert not (tmp_path / "m").exists()
+            assert errors[0] == errors[1]
+            assert errors[0].startswith(f"data error: unknown model name {model!r}; zoo models")
 
     def test_unknown_extension_needs_format(self, tmp_path):
         weird = tmp_path / "corpus.dat"
@@ -288,8 +293,12 @@ def _command_argv(command, out, corpus_file, encoded_dir, model_file):
     ("preprocess", [], {"stoplist": "no-such-stoplist.txt"}, "stoplist"),
     ("train", [], {"epochs": "2"}, "epochs"),
     ("train", [], {"epochs": 2.5}, "epochs"),
-    # revalidate_per_epoch is not a config key.
+    # revalidate_per_epoch, Adam's constants and the clip norm are not config keys.
     ("train", [], {"revalidate_per_epoch": False}, "revalidate_per_epoch"),
+    ("train", [], {"beta1": 0.9}, "beta1"),
+    ("train", [], {"beta2": 0.999}, "beta2"),
+    ("compare", [], {"epsilon": 1e-8}, "epsilon"),
+    ("compare", [], {"clip_norm": 5.0}, "clip_norm"),
     ("ingest", [], {"bogus": 1}, "bogus"),
     ("preprocess", [], {"bogus": 1}, "bogus"),
     ("train", [], {"bogus": 1}, "bogus"),
@@ -304,7 +313,8 @@ def _command_argv(command, out, corpus_file, encoded_dir, model_file):
     ("compare", [], {"validation_fraction_of_train": 0.0}, "validation_fraction_of_train"),
 ], ids=["epochs-0", "batch-0", "seed-negative", "seq_len-0", "vocab_size-0", "vocab_size-1",
         "test_fraction-1.5", "pad-middle", "stoplist-missing", "epochs-str", "epochs-float",
-        "reval-removed", "ingest-bogus", "preprocess-bogus", "train-bogus", "evaluate-bogus",
+        "reval-removed", "beta1-removed", "beta2-removed", "epsilon-removed",
+        "clip_norm-removed", "ingest-bogus", "preprocess-bogus", "train-bogus", "evaluate-bogus",
         "compare-bogus", "evaluate-empty-validation", "compare-empty-test",
         "train-empty-validation", "compare-empty-validation"])
 def test_invalid_config_is_data_error(tmp_path, corpus_file, encoded_dir, model_file,

@@ -87,6 +87,13 @@ class TestLoadReports:
         assert [r.report_id for r in result.records] == ["b"]
         assert len(result.warnings) == 1
 
+    def test_extra_keys_are_ignored(self, corpus_json):
+        # A "_malformed" key is an extra key like any other, not a verdict.
+        path = corpus_json([dict(_entry("a"), _malformed="x"), dict(_entry("b"), note="x")])
+        result = load_reports(path, "json")
+        assert [r.report_id for r in result.records] == ["a", "b"]
+        assert result.warnings == []
+
     def test_two_loads_identical(self, corpus_json):
         path = corpus_json([_entry("a"), _entry("b", level="dstr")])
         first = load_reports(path, "json")
@@ -135,6 +142,7 @@ class TestLoadReportsCsv:
         result = load_reports(path, "csv")
         assert [r.report_id for r in result.records] == ["r3"]
         assert len(result.warnings) == 2
+        assert result.warnings[1] == "entry 1: expected 4 fields, got 2"
 
     def test_unclosed_quote_past_the_field_limit_is_data_error(self, tmp_path):
         # csv refuses a field over 128 KiB; the unclosed quote runs to the end.

@@ -73,14 +73,21 @@ class TestConfig:
         ({"hidden_units": 0}, "hidden_units"),
         ({"beta2": 1.0}, "beta2"),
         ({"clip_norm": float("nan")}, "clip_norm"),
+        # Adam's constants and the clip norm are not config keys, even at
+        # their old defaults.
+        ({"beta1": 0.9}, "beta1"),
+        ({"beta2": 0.999}, "beta2"),
+        ({"epsilon": 1e-8}, "epsilon"),
+        ({"clip_norm": 5.0}, "clip_norm"),
     ], ids=["bool-seed", "float-epochs", "str-lr", "str-models", "int-stoplist",
-            "zero-width", "beta2-1", "nan-clip"])
+            "zero-width", "beta2-1", "nan-clip", "beta1-removed", "beta2-removed",
+            "epsilon-removed", "clip_norm-removed"])
     def test_invalid_values_name_the_key(self, values, key):
         with pytest.raises(DataError, match=key):
             config_from_dict(values)
 
     def test_int_accepted_for_float(self):
-        assert config_from_dict({"learning_rate": 1, "clip_norm": 2}).train.clip_norm == 2
+        assert config_from_dict({"learning_rate": 1}).train.learning_rate == 1
 
     def test_readme_schema_matches(self):
         # The README's schema block lists every accepted key with its default.

@@ -2,9 +2,14 @@
 
 A code line is a source line that holds at least one token other than a
 comment or a docstring: blank lines, comment-only lines and the lines of a
-module, class or function docstring do not count. Run from anywhere:
+module, class or function docstring do not count; a multi-line string that
+is not a docstring does. Run from anywhere:
 
-    python3 tools/code_lines.py [PACKAGE_DIR]
+    python3 tools/code_lines.py [PACKAGE_DIR [PARENT_PACKAGE_DIR]]
+
+With a second directory (say, the package in a ``git worktree`` of the
+parent commit), each module is printed as parent -> change, a module absent
+from one side counting 0 there, followed by both totals and the net change.
 """
 
 from __future__ import annotations
@@ -42,14 +47,24 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def package_lines(package: Path) -> dict[str, int]:
+    """Code lines of each ``*.py`` module directly in ``package``, by file name."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    change = package_lines(Path(argv[1]) if len(argv) > 1 else PACKAGE)
+    if len(argv) < 3:
+        for name, n in change.items():
+            print(f"{n:6d}  {name}")
+        print(f"{sum(change.values()):6d}  total")
+        return 0
+    parent = package_lines(Path(argv[2]))
+    for name in sorted(parent.keys() | change.keys()):
+        print(f"{parent.get(name, 0):6d} -> {change.get(name, 0):6d}  {name}")
+    before, after = sum(parent.values()), sum(change.values())
+    print(f"{before:6d} -> {after:6d}  total ({after - before:+d})")
     return 0
 
 
