@@ -14,14 +14,14 @@ invalid values exit 2, like any other data error.
 The subcommands are thin: ``train`` and ``compare`` train and save through
 ``harness.train_and_save``, ``train`` and ``evaluate`` read their dataset
 directory through ``harness.read_dataset_dir``, and ``evaluate`` scores
-through ``harness.evaluate_on``. Every named split comes from
-``harness.split_indices``: an empty split exits 2 naming its fraction's key
-before anything is written. ``train`` checks the validation split,
-``compare`` the validation and test splits and ``evaluate`` the split it
-scores. ``preprocess``, ``train``, ``evaluate --out`` and ``compare`` claim
-their output names through ``harness.claim_outputs`` before any work
-starts, so an ``--out`` that cannot hold them exits 2 before any
-preprocessing, training or scoring.
+through ``harness.evaluate_on``. The split is the paper's fixed 80/20 +
+10% protocol, seeded by ``seed``, and every named split comes from
+``harness.split_indices``: a dataset too small to give every split a record
+exits 2 before anything is written, from ``train``, ``evaluate`` and
+``compare`` alike. ``preprocess``, ``train``, ``evaluate --out`` and
+``compare`` claim their output names through ``harness.claim_outputs``
+before any work starts, so an ``--out`` that cannot hold them exits 2
+before any preprocessing, training or scoring.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
     records = _load_filtered(args, args.verbose)
     if not records:
         raise DataError("no usable records after the completed-investigation filter")
-    stoplist = load_stoplist(config.stoplist) if config.stoplist else None
+    stoplist = load_stoplist(config.stoplist) if config.stoplist is not None else None
     out_dir, _ = harness.claim_outputs(
         args.out, [dataset_io.ENCODED_FILENAME, dataset_io.VOCAB_FILENAME])
     sequences, labels, vocab = preprocess_corpus(

@@ -23,8 +23,10 @@ have written. Every artifact is written through ``dataset_io.write_atomic``
 (JSON through ``write_json``), so an interrupted run leaves each file whole
 or absent.
 
+The split is the paper's fixed 80/20 + 10% protocol (``training.SplitSpec``),
+seeded by the run's one ``seed``: ``ExperimentConfig.split`` derives it.
 ``split_indices`` (from ``training``) is the one lookup from a split name to
-its record indices; it refuses a split the fractions leave empty.
+its record indices; it refuses a dataset too small to split.
 ``evaluate_on`` is the one scoring path of ``evaluate`` and ``compare``.
 """
 
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset_io, zoo
+from . import dataset_io, text_pipeline, zoo
 from .checkpoint import save_checkpoint
 from .errors import DataError, NumericError
 from .evaluation import MetricsReport, compute_metrics, confusion_matrix, render_results_table
@@ -69,15 +71,14 @@ class ExperimentConfig:
     data_path: str = ""
     output_dir: str = ""
     model_names: tuple[str, ...] = zoo.ZOO_NAMES
-    seq_len: int = 2000
-    vocab_size: int = 100_000
+    seq_len: int = text_pipeline.DEFAULT_SEQUENCE_LENGTH
+    vocab_size: int = text_pipeline.DEFAULT_VOCAB_SIZE
     pad: str = "post"
     stoplist: str | None = None
     embedding_dim: int = zoo.DEFAULT_EMBEDDING_DIM
     hidden_units: int = zoo.DEFAULT_HIDDEN_UNITS
     dense_hidden_units: int = zoo.DEFAULT_DENSE_HIDDEN_UNITS
     train: TrainConfig = field(default_factory=TrainConfig)
-    split: SplitSpec = field(default_factory=SplitSpec)
 
     def __post_init__(self):
         if not self.model_names:
@@ -95,25 +96,29 @@ class ExperimentConfig:
         if self.pad not in ("pre", "post"):
             raise DataError(f"pad must be 'pre' or 'post', got {self.pad!r}")
 
+    @property
+    def split(self) -> SplitSpec:
+        """The paper's split, seeded like training so one ``seed`` pins a run."""
+        return SplitSpec(seed=self.train.seed)
+
 
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
-_SPLIT_KEYS = tuple(f.name for f in fields(SplitSpec))
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in ("train", "split"))
-CONFIG_KEYS = frozenset(_TOP_KEYS + _TRAIN_KEYS + _SPLIT_KEYS)
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "train")
+CONFIG_KEYS = frozenset(_TOP_KEYS + _TRAIN_KEYS)
 
 # JSON types accepted per field annotation (a string: these modules use
 # postponed annotations). An int may stand for a float; no field is a bool,
 # and a bool is never accepted for a number.
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str,
                "str | None": (str, type(None)), "tuple[str, ...]": (list, tuple)}
-_FIELD_TYPES = {f.name: f.type for cls in (TrainConfig, SplitSpec, ExperimentConfig)
-                for f in fields(cls)}
+_FIELD_TYPES = {f.name: f.type for cls in (TrainConfig, ExperimentConfig) for f in fields(cls)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a flat key-value mapping (the config file schema).
 
-    ``seed`` seeds both training and the split so one number pins a run.
+    ``seed`` seeds both training and the split (``ExperimentConfig.split``)
+    so one number pins a run.
     Unknown keys, values of the wrong JSON type and out-of-range values all
     raise ``DataError`` naming the key.
     """
@@ -129,9 +134,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         top["model_names"] = tuple(top["model_names"])
     try:
         return ExperimentConfig(
-            train=TrainConfig(**{k: data[k] for k in _TRAIN_KEYS if k in data}),
-            split=SplitSpec(**{k: data[k] for k in _SPLIT_KEYS if k in data}),
-            **top,
+            train=TrainConfig(**{k: data[k] for k in _TRAIN_KEYS if k in data}), **top,
         )
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid config: {exc}") from exc
@@ -251,15 +254,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Train, evaluate, and serialize every selected model; returns the
     manifest that was also written to the output directory.
 
-    The dataset is read and its validation and test splits checked, and then
-    every output name of the run is claimed (``claim_outputs``): the
-    manifest, results table and CSV, and each selected model's checkpoint,
-    history and metrics. So a run that cannot validate, evaluate or write
-    trains nothing, and a run that stops part-way keeps none of an earlier
-    run's files of the models it selected and no listing of them.
+    The dataset is read and split (a dataset too small to split is refused
+    here), and then every output name of the run is claimed
+    (``claim_outputs``): the manifest, results table and CSV, and each
+    selected model's checkpoint, history and metrics. So a run that cannot
+    validate, evaluate or write trains nothing, and a run that stops
+    part-way keeps none of an earlier run's files of the models it selected
+    and no listing of them.
     """
     dataset, fingerprint = read_dataset_dir(config.data_path)
-    split_indices(len(dataset), config.split, "validation")
     test_idx = split_indices(len(dataset), config.split, "test")
     model_files = [f"{name}/{artifact}" for name in config.model_names
                    for artifact in MODEL_ARTIFACTS]

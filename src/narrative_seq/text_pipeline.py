@@ -72,7 +72,7 @@ def load_stoplist(path) -> frozenset[str]:
     try:
         text = (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
-        raise DataError(f"cannot read stoplist {path}: {exc}") from exc
+        raise DataError(f"cannot read stoplist {str(path)!r}: {exc}") from exc
     for line in text.splitlines():
         entry = line.split("#", 1)[0].strip()
         if entry:

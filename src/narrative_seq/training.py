@@ -1,10 +1,11 @@
 """Dataset splitting, categorical cross-entropy, Adam, and the training loop.
 
-The split is a seeded permutation carved into 80/20 train/test, with 10% of
-the train portion held out for validation. ``split_indices`` is the one
-lookup from a split name to its records; it refuses a split the fractions
-leave empty, so ``train_model`` refuses an empty validation holdout before
-it trains. The holdout is drawn once and re-scored with frozen parameters
+The split is the paper's protocol, fixed: a seeded permutation carved into
+80/20 train/test, with 10% of the train portion held out for validation.
+Only its seed varies. ``split_dataset`` refuses a dataset too small to give
+every split a record (``MIN_SPLIT_RECORDS``), so ``train_model`` refuses it
+before it trains; ``split_indices`` is the lookup from a split name to its
+records. The holdout is drawn once and re-scored with frozen parameters
 after every epoch, so curves are comparable across epochs and no validation
 record is ever trained on.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -64,16 +65,18 @@ _TAG_SHUFFLE = 3
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Seeded 80/20 split with a 10% validation holdout from the train side."""
+    """The paper's seeded 80/20 train/test split, with 10% of the train side
+    held out for validation. The fractions are constants; only the seed
+    varies."""
 
     seed: int = 0
-    test_fraction: float = 0.20
-    validation_fraction_of_train: float = 0.10
+    test_fraction: ClassVar[float] = 0.20
+    validation_fraction_of_train: ClassVar[float] = 0.10
 
-    def __post_init__(self):
-        for name in ("test_fraction", "validation_fraction_of_train"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+
+# The fewest records that leave every split of SplitSpec non-empty: 11
+# records give a validation split of 0, 12 give 9/1/2.
+MIN_SPLIT_RECORDS = 12
 
 
 @dataclass(frozen=True)
@@ -122,10 +125,12 @@ def split_dataset(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.n
     """(train, validation, test) index arrays partitioning 0..n-1.
 
     The permutation is seeded; the last 20% (rounded down) becomes test, the
-    last 10% (rounded down) of the remainder becomes validation.
+    last 10% (rounded down) of the remainder becomes validation. A dataset
+    of fewer than ``MIN_SPLIT_RECORDS`` records would leave a split empty
+    and is a ``DataError``.
     """
-    if n < 10:
-        raise DataError(f"need at least 10 records to split, got {n}")
+    if n < MIN_SPLIT_RECORDS:
+        raise DataError(f"need at least {MIN_SPLIT_RECORDS} records to split, got {n}")
     perm = SeededRng(spec.seed, _TAG_SPLIT).permutation(n)
     n_test = int(n * spec.test_fraction)
     test = perm[n - n_test:]
@@ -138,20 +143,11 @@ def split_dataset(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.n
 
 SPLIT_NAMES = ("train", "validation", "test", "all")
 
-# The config key that sizes each split that can come out empty; the train
-# and all splits always keep at least one record.
-_SPLIT_FRACTION_KEYS = {"validation": "validation_fraction_of_train", "test": "test_fraction"}
-
 
 def split_indices(n: int, spec: SplitSpec, name: str) -> np.ndarray:
     """The record indices of split ``name`` (one of ``SPLIT_NAMES``) of an
-    ``n``-record dataset; a ``DataError`` naming the config key when the
-    fractions leave that split empty."""
-    indices = dict(zip(SPLIT_NAMES, (*split_dataset(n, spec), np.arange(n))))[name]
-    if indices.size == 0:
-        key = _SPLIT_FRACTION_KEYS[name]
-        raise DataError(f"the {name} split holds no records with {key} {getattr(spec, key)!r}")
-    return indices
+    ``n``-record dataset; refused like ``split_dataset``."""
+    return dict(zip(SPLIT_NAMES, (*split_dataset(n, spec), np.arange(n))))[name]
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -240,16 +236,15 @@ def train_model(spec: ModelSpec, dataset: EncodedDataset, config: TrainConfig,
                 split: SplitSpec) -> tuple[ParamDict, TrainingHistory]:
     """Train one architecture; returns final params and per-epoch history.
 
-    Refuses a split that leaves the validation holdout empty with a
-    ``DataError`` before training. Per epoch: shuffle the train indices
-    with an epoch-derived seed, step through mini-batches (the last one may
-    be short), backpropagate the batch-mean loss, clip to ``CLIP_NORM`` and
-    apply Adam. The epoch's train loss and accuracy are taken from those
+    Refuses a dataset too small to split with a ``DataError`` before
+    training. Per epoch: shuffle the train indices with an epoch-derived
+    seed, step through mini-batches (the last one may be short),
+    backpropagate the batch-mean loss, clip to ``CLIP_NORM`` and apply
+    Adam. The epoch's train loss and accuracy are taken from those
     batch forwards; the validation holdout is then scored with the epoch's
     final params.
     """
-    train_idx = split_indices(len(dataset), split, "train")
-    val_idx = split_indices(len(dataset), split, "validation")
+    train_idx, val_idx, _ = split_dataset(len(dataset), split)
     params = init_params(spec, dataset.vocab_size, SeededRng(config.seed, _TAG_INIT))
     state = AdamState.initialize(params)
     history: TrainingHistory = []

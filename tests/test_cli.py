@@ -2,6 +2,7 @@
 speed with one subprocess smoke test for the installed entry point.
 """
 
+import contextlib
 import csv
 import errno
 import json
@@ -304,11 +305,12 @@ def _command_argv(command, out, corpus_file, encoded_dir, model_file):
     ("train", [], {"bogus": 1}, "bogus"),
     ("evaluate", [], {"bogus": 1}, "bogus"),
     ("compare", [], {"bogus": 1}, "bogus"),
-    # Valid fractions that leave the evaluated split empty.
+    # Fractions that would leave a split empty. The paper's fractions are
+    # fixed, so these are unknown keys; an 11-record dataset is the one way
+    # to an empty split (test_dataset_too_small_to_split_is_data_error).
     ("evaluate", ["--split", "validation"], {"validation_fraction_of_train": 0.0},
      "validation_fraction_of_train"),
     ("compare", [], {"test_fraction": 0.0}, "test_fraction"),
-    # A validation split left empty would report a score over no records.
     ("train", [], {"validation_fraction_of_train": 0.0}, "validation_fraction_of_train"),
     ("compare", [], {"validation_fraction_of_train": 0.0}, "validation_fraction_of_train"),
 ], ids=["epochs-0", "batch-0", "seed-negative", "seq_len-0", "vocab_size-0", "vocab_size-1",
@@ -327,6 +329,76 @@ def test_invalid_config_is_data_error(tmp_path, corpus_file, encoded_dir, model_
     assert run_cli("--config", str(config), *argv, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,old_default", [
+    ("test_fraction", 0.2), ("validation_fraction_of_train", 0.1)])
+@pytest.mark.parametrize("command", ["ingest", "preprocess", "train", "evaluate", "compare"])
+def test_split_fractions_are_unknown_keys(tmp_path, corpus_file, encoded_dir, model_file,
+                                          capsys, command, key, old_default):
+    # Even at its old default, a split fraction is refused by every
+    # subcommand before it reads or writes anything.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL, "epochs": 1, key: old_default}))
+    out = tmp_path / "out"
+    argv = _command_argv(command, out, corpus_file, encoded_dir, model_file)
+    assert run_cli("--config", str(config), *argv) == 2
+    assert capsys.readouterr().err == f"data error: unknown config keys [{key!r}]\n"
+    assert not out.exists()
+
+
+def _first_records(encoded_dir, n, data):
+    """A dataset directory holding the first ``n`` records of ``encoded_dir``
+    under the same vocabulary sidecar."""
+    dataset = dataset_io.read_encoded_dataset(encoded_dir / dataset_io.ENCODED_FILENAME)
+    data.mkdir()
+    shutil.copy(encoded_dir / dataset_io.VOCAB_FILENAME, data / dataset_io.VOCAB_FILENAME)
+    dataset_io.write_encoded_dataset(
+        data / dataset_io.ENCODED_FILENAME,
+        dataset_io.EncodedDataset(sequences=dataset.sequences[:n], labels=dataset.labels[:n],
+                                  vocab_size=dataset.vocab_size))
+    return data
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", []), ("evaluate", ["--split", "validation"]), ("evaluate", ["--split", "all"]),
+    ("compare", []),
+], ids=["train", "evaluate-validation", "evaluate-all", "compare"])
+def test_dataset_too_small_to_split_is_data_error(tmp_path, encoded_dir, model_file,
+                                                  monkeypatch, capsys, command, flags):
+    # 11 records would split 9/0/2. Every command refuses with the one
+    # message of split_dataset, before any training or scoring, and writes
+    # nothing.
+    data = _first_records(encoded_dir, 11, tmp_path / "enc11")
+    work = [*_record_calls(monkeypatch, train_model), *_record_calls(monkeypatch, predict_proba)]
+    out = tmp_path / "out"
+    argv = _command_argv(command, out, None, data, model_file)
+    assert run_cli(*argv, *flags) == 2
+    assert capsys.readouterr().err == "data error: need at least 12 records to split, got 11\n"
+    assert work == []
+    assert not out.exists()
+
+
+def test_twelve_records_split_9_1_2(tmp_path, encoded_dir, model_file, capsys):
+    data = _first_records(encoded_dir, 12, tmp_path / "enc12")
+    for split, size in (("train", 9), ("validation", 1), ("test", 2), ("all", 12)):
+        assert run_cli("evaluate", "--model-file", str(model_file), "--data", str(data),
+                       "--split", split) == 0
+        assert f"on the {split} split ({size} records)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spelling", ["config", "flag"])
+def test_empty_stoplist_path_is_data_error(tmp_path, corpus_file, capsys, spelling):
+    # An empty path names no file: it is unreadable, not a request for the
+    # bundled stoplist.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"stoplist": ""} if spelling == "config" else {}))
+    out = tmp_path / "out"
+    flag = ["--stoplist", ""] if spelling == "flag" else []
+    assert run_cli("--config", str(config), "preprocess", "--data", str(corpus_file),
+                   "--out", str(out), "--vocab-size", "50", *flag) == 2
+    assert capsys.readouterr().err.startswith("data error: cannot read stoplist '': ")
     assert not out.exists()
 
 
@@ -659,3 +731,85 @@ def test_installed_entrypoint_smoke(corpus_file):
     )
     assert proc.returncode == 0
     assert "Substantial" in proc.stdout
+
+
+# Every config key with a strategy for values it accepts and one for values
+# it may refuse. Size keys draw only small ints (or wrong-typed values), so
+# no example asks for a large model or a long sequence.
+_SIZE_LIMITS = {"seq_len": 16, "vocab_size": 64, "embedding_dim": 4, "hidden_units": 4,
+                "dense_hidden_units": 4, "epochs": 2, "batch_size": 64}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+_NON_STRING_VALUES = _JSON_VALUES.filter(lambda value: not isinstance(value, str))
+
+
+def _config_values(stoplist):
+    """(accepted, any) value strategies per config key. ``stoplist`` is a
+    readable stoplist; stoplist paths come only from a fixed set, so no
+    example reads an arbitrary file."""
+    sizes = {key: (st.integers(1, limit), st.integers(-1, 0) | _JSON_VALUES)
+             for key, limit in _SIZE_LIMITS.items()}
+    return {
+        **sizes,
+        "data_path": (st.text(max_size=6), _JSON_VALUES),
+        "output_dir": (st.text(max_size=6), _JSON_VALUES),
+        "model_names": (st.lists(st.sampled_from(["sRNN", "GRU", "LSTM"]), min_size=1,
+                                 unique=True),
+                        st.lists(st.sampled_from(["sRNN", "LSTM-GRU", ""])) | _JSON_VALUES),
+        "pad": (st.sampled_from(["pre", "post"]), st.just("middle") | _JSON_VALUES),
+        "stoplist": (st.sampled_from([None, str(stoplist)]),
+                     st.sampled_from(["", "no-such-stoplist.txt", "."]) | _NON_STRING_VALUES),
+        "learning_rate": (st.floats(1e-6, 1e6), st.floats(-1.0, 0.0) | _JSON_VALUES),
+        "seed": (st.integers(0, 2**64), st.integers(-2, -1) | _JSON_VALUES),
+    }
+
+
+# Keys every subcommand refuses: the removed split fractions and one unknown key.
+_REFUSED_KEYS = ("test_fraction", "validation_fraction_of_train", "bogus")
+
+
+def _files_under(root):
+    return {p: p.stat().st_mtime_ns for p in Path(root).rglob("*")}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_config_exits_with_a_documented_code(tmp_path_factory, corpus_file, encoded_dir,
+                                                 model_file, data):
+    # Whatever the config file holds, ingest, preprocess, train and evaluate
+    # exit 0, 1, 2 or 3 with no exception escaping main, and write nothing
+    # outside their --out. Drawn keys overlay small widths and one epoch, so
+    # a config that draws no size key trains quickly too.
+    work = tmp_path_factory.mktemp("any_config")
+    stoplist = work / "stoplist.txt"
+    stoplist.write_text("the\na\n", encoding="utf-8")
+    strategies = _config_values(stoplist)
+    keys = data.draw(st.lists(st.sampled_from(sorted(strategies)), max_size=4, unique=True),
+                     label="keys")
+    # Three values in four are of a kind the key accepts, so a good share
+    # of examples gets past the config and trains.
+    values = {key: data.draw(strategies[key][data.draw(st.integers(0, 3)) == 0], label=key)
+              for key in keys}
+    if data.draw(st.integers(0, 3), label="refused key") == 0:
+        values[data.draw(st.sampled_from(_REFUSED_KEYS))] = data.draw(_JSON_VALUES)
+    config = work / "config.json"
+    config.write_text(json.dumps({**SMALL, "epochs": 1, **values}))
+    out = work / "out"
+    inputs = [work, corpus_file.parent, encoded_dir, model_file.parent]
+    before = [_files_under(root) for root in inputs]
+    with contextlib.chdir(work):
+        for argv in (["ingest", "--data", str(corpus_file)],
+                     ["preprocess", "--data", str(corpus_file), "--out", str(out / "enc")],
+                     ["train", "--data", str(encoded_dir), "--model", "sRNN",
+                      "--out", str(out / "model")],
+                     ["evaluate", "--model-file", str(model_file), "--data", str(encoded_dir),
+                      "--out", str(out / "eval")]):
+            assert main(["--config", str(config), *argv]) in (0, 1, 2, 3), argv
+    after = [_files_under(root) for root in inputs]
+    after[0] = {p: t for p, t in after[0].items() if out not in (p, *p.parents)}
+    assert after == before

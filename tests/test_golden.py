@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +114,41 @@ def test_training_is_bit_identical_to_golden(name):
     if key not in table:
         pytest.skip(f"no golden digests for build {key!r}")
     assert run_case(name) == table[key][name]
+
+
+# One training step at shapes where OpenBLAS splits its GEMMs across threads:
+# 43 records split 32/3/8, so the one batch is B=32 in one CHUNK_STEPS chunk
+# of 64 steps at E=H=64, and the input projection is [2048, 64] @ [64, 256].
+_THREADED_STEP = """
+import hashlib
+import numpy as np
+from narrative_seq.dataset_io import EncodedDataset
+from narrative_seq.training import SplitSpec, TrainConfig, history_to_csv, train_model
+from narrative_seq.zoo import build_spec
+rng = np.random.default_rng(7)
+dataset = EncodedDataset(sequences=rng.integers(1, 500, size=(43, 64)).astype(np.uint32),
+                         labels=rng.integers(0, 4, size=43).astype(np.uint8), vocab_size=500)
+params, history = train_model(build_spec("LSTM"), dataset,
+                              TrainConfig(epochs=1, batch_size=32, seed=1), SplitSpec(seed=1))
+h = hashlib.sha256(history_to_csv(history).encode())
+for name, tensor in params.items():
+    h.update(name.encode() + np.ascontiguousarray(tensor).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_training_is_bit_identical_across_blas_threads():
+    # One and two OpenBLAS threads train to the same bits. The golden digests
+    # above rely on it: they are keyed by build, not by thread count.
+    root = Path(__file__).parents[1]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", _THREADED_STEP], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,14 @@ class TestConfig:
         assert config.train.seed == 42
         assert config.split.seed == 42
 
+    def test_split_is_derived_from_the_seed(self):
+        # The split is not a field: one seed pins it, in the library as in the CLI.
+        assert "split" not in {f.name for f in fields(ExperimentConfig)}
+        assert len(harness.CONFIG_KEYS) == 14
+        for seed in (0, 7):
+            config = ExperimentConfig(train=TrainConfig(seed=seed))
+            assert config.split == SplitSpec(seed=seed)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(DataError, match="optimiser"):
             config_from_dict({"optimiser": "sgd"})
@@ -79,9 +88,13 @@ class TestConfig:
         ({"beta2": 0.999}, "beta2"),
         ({"epsilon": 1e-8}, "epsilon"),
         ({"clip_norm": 5.0}, "clip_norm"),
+        # Nor are the split fractions, which the paper fixes at 80/20 + 10%.
+        ({"test_fraction": 0.2}, "test_fraction"),
+        ({"validation_fraction_of_train": 0.1}, "validation_fraction_of_train"),
     ], ids=["bool-seed", "float-epochs", "str-lr", "str-models", "int-stoplist",
             "zero-width", "beta2-1", "nan-clip", "beta1-removed", "beta2-removed",
-            "epsilon-removed", "clip_norm-removed"])
+            "epsilon-removed", "clip_norm-removed", "test_fraction-removed",
+            "validation_fraction_of_train-removed"])
     def test_invalid_values_name_the_key(self, values, key):
         with pytest.raises(DataError, match=key):
             config_from_dict(values)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -42,7 +43,7 @@ class TestSplitDataset:
             npt.assert_array_equal(x, y)
 
     def test_partition_property(self):
-        for n in (10, 11, 25, 100, 333):
+        for n in (12, 13, 25, 100, 333):
             for seed in (0, 1, 77):
                 train, val, test = split_dataset(n, SplitSpec(seed=seed))
                 combined = np.concatenate([train, val, test])
@@ -50,8 +51,32 @@ class TestSplitDataset:
                 assert set(combined.tolist()) == set(range(n))
 
     def test_too_small_rejected(self):
-        with pytest.raises(DataError):
-            split_dataset(9, SplitSpec(seed=0))
+        with pytest.raises(DataError, match="need at least 12 records to split, got 11"):
+            split_dataset(11, SplitSpec(seed=0))
+
+    def test_minimum_is_the_fewest_records_that_fill_every_split(self):
+        # The fractions are fixed: 11 records would leave the validation
+        # split empty, 12 split 9/1/2, and every larger size fills all three.
+        assert training.MIN_SPLIT_RECORDS == 12
+        assert [len(part) for part in split_dataset(12, SplitSpec(seed=3))] == [9, 1, 2]
+        for n in range(1, 400):
+            n_test = int(n * SplitSpec.test_fraction)
+            n_val = int((n - n_test) * SplitSpec.validation_fraction_of_train)
+            fills_every_split = min(n - n_test - n_val, n_val, n_test) > 0
+            assert fills_every_split == (n >= training.MIN_SPLIT_RECORDS), n
+            if n < training.MIN_SPLIT_RECORDS:
+                with pytest.raises(DataError, match=f"got {n}$"):
+                    split_dataset(n, SplitSpec())
+            else:
+                sizes = [len(part) for part in split_dataset(n, SplitSpec())]
+                assert sizes == [n - n_test - n_val, n_val, n_test]
+
+    def test_fractions_are_constants(self):
+        # Only the seed is a field; the paper's fractions are class constants.
+        assert [f.name for f in dataclasses.fields(SplitSpec)] == ["seed"]
+        assert (SplitSpec.test_fraction, SplitSpec.validation_fraction_of_train) == (0.2, 0.1)
+        with pytest.raises(TypeError):
+            SplitSpec(test_fraction=0.5)
 
     def test_seed_changes_split(self):
         a = split_dataset(50, SplitSpec(seed=1))[2]
@@ -235,11 +260,15 @@ class TestTrainModel:
 
     def test_empty_validation_holdout_rejected_before_training(self, tiny_dataset,
                                                                monkeypatch):
+        # 11 records would split 9/0/2: no validation record to score.
+        eleven = EncodedDataset(sequences=tiny_dataset.sequences[:11],
+                                labels=tiny_dataset.labels[:11],
+                                vocab_size=tiny_dataset.vocab_size)
         forwards = []
         monkeypatch.setattr(training, "model_forward", lambda *args: forwards.append(args))
-        with pytest.raises(DataError, match="validation_fraction_of_train 0.0"):
-            train_model(build_spec("sRNN", **self.SPEC), tiny_dataset, TrainConfig(epochs=1),
-                        SplitSpec(validation_fraction_of_train=0.0))
+        with pytest.raises(DataError, match="need at least 12 records to split, got 11"):
+            train_model(build_spec("sRNN", **self.SPEC), eleven, TrainConfig(epochs=1),
+                        SplitSpec())
         assert forwards == []
 
     def test_loss_decreases_on_easy_data_for_every_zoo_model(self, tiny_dataset):
