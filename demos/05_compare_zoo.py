@@ -32,9 +32,9 @@ write_encoded_dataset(
 )
 write_vocab_sidecar(data_dir / VOCAB_FILENAME, vocab)
 
+# The config holds only run settings; the dataset and output directories
+# are arguments of run_experiment.
 config = config_from_dict({
-    "data_path": str(data_dir),
-    "output_dir": str(workdir / "results"),
     "model_names": ["sRNN", "GRU", "GRU-LSTM"],
     "epochs": 3,
     "seed": 42,
@@ -43,7 +43,7 @@ config = config_from_dict({
     "dense_hidden_units": 16,
 })
 
-manifest = run_experiment(config)
+manifest = run_experiment(config, data_dir, workdir / "results")
 
 print("combined results table:")
 print((workdir / "results" / "results_table.txt").read_text())

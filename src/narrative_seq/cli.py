@@ -9,7 +9,9 @@ Every subcommand resolves its settings the same way: the ``--config`` JSON
 object, overlaid with each flag given on the command line whose destination
 is a config key, goes through ``harness.config_from_dict`` once. A flag
 beats the file and the file beats the built-in default. Unknown keys and
-invalid values exit 2, like any other data error.
+invalid values exit 2, like any other data error. File paths are never
+config keys: ``--data``, ``--out``, ``--model-file`` and ``--stoplist`` are
+plain flags, read from ``args`` by the subcommand that takes them.
 
 The subcommands are thin: ``train`` and ``compare`` train and save through
 ``harness.train_and_save``, ``train`` and ``evaluate`` read their dataset
@@ -68,7 +70,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int)
     p.add_argument("--seq-len", type=int)
-    p.add_argument("--pad", choices=("pre", "post"))
     p.add_argument("--stoplist")
 
     p = sub.add_parser("train", help="train one zoo model on an encoded dataset")
@@ -86,8 +87,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("compare", help="train and evaluate a set of zoo models")
-    p.add_argument("--data", dest="data_path")
-    p.add_argument("--out", dest="output_dir")
+    p.add_argument("--data", required=True, help="directory written by preprocess")
+    p.add_argument("--out", required=True)
     p.add_argument("--models", dest="model_names", type=_split_names,
                    help="comma-separated zoo names (default: all ten)")
     _add_train_flags(p)
@@ -143,13 +144,11 @@ def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
     records = _load_filtered(args, args.verbose)
     if not records:
         raise DataError("no usable records after the completed-investigation filter")
-    stoplist = load_stoplist(config.stoplist) if config.stoplist is not None else None
+    stoplist = load_stoplist(args.stoplist) if args.stoplist is not None else None
     out_dir, _ = harness.claim_outputs(
         args.out, [dataset_io.ENCODED_FILENAME, dataset_io.VOCAB_FILENAME])
     sequences, labels, vocab = preprocess_corpus(
-        records, vocab_size=config.vocab_size, seq_len=config.seq_len,
-        stoplist=stoplist, pad=config.pad,
-    )
+        records, vocab_size=config.vocab_size, seq_len=config.seq_len, stoplist=stoplist)
     dataset = dataset_io.EncodedDataset(
         sequences=sequences, labels=labels, vocab_size=vocab.size
     )
@@ -197,14 +196,10 @@ def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_compare(args, config: harness.ExperimentConfig) -> int:
-    if not config.data_path:
-        raise _UsageError("compare needs --data or data_path in the config file")
-    if not config.output_dir:
-        raise _UsageError("compare needs --out or output_dir in the config file")
-    manifest = harness.run_experiment(config)
+    manifest = harness.run_experiment(config, args.data, args.out)
     # The manifest lists the table only when a model of this run succeeded.
     if harness.RESULTS_TABLE_FILENAME in manifest["files"]:
-        table = Path(config.output_dir) / harness.RESULTS_TABLE_FILENAME
+        table = Path(args.out) / harness.RESULTS_TABLE_FILENAME
         print(table.read_text(encoding="utf-8"), end="")
     failed = [n for n, m in manifest["models"].items() if m["status"] == "failed"]
     for name in failed:
@@ -214,7 +209,7 @@ def _cmd_compare(args, config: harness.ExperimentConfig) -> int:
         )
     ok = len(manifest["models"]) - len(failed)
     print(f"{ok}/{len(manifest['models'])} models completed; manifest in "
-          f"{config.output_dir}")
+          f"{args.out}")
     return 0 if ok else 3
 
 

@@ -33,6 +33,7 @@ from .text_pipeline import Vocabulary
 
 MAGIC = b"NSEQ1"
 _HEADER = struct.Struct("<III")
+MAX_SEQ_LEN = 2**32 - 1  # the largest sequence length the header's uint32 holds
 
 ENCODED_FILENAME = "encoded.nseq"
 VOCAB_FILENAME = "vocab.json"

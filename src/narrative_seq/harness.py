@@ -15,11 +15,13 @@ permission error into a ``DataError``. So an unusable output path fails
 before any training, scoring or preprocessing, and a command that stops
 part-way keeps none of an earlier run's files at its names.
 
-``train_and_save`` is the one path that trains a model and writes its
-checkpoint and history (and, for ``compare``, its test metrics):
-``run_experiment`` calls it per model, and the ``train`` subcommand calls it
-once. When training or writing fails it removes the artifact names it would
-have written. Every artifact is written through ``dataset_io.write_atomic``
+``ExperimentConfig`` holds only run settings, the ten keys of
+``CONFIG_KEYS``; file paths are arguments. ``train_and_save`` is the one path
+that trains a model and writes its checkpoint and history into ``model_dir``
+(and, for ``compare``, its test metrics): ``run_experiment(config, data_dir,
+out_dir)`` calls it per model, and the ``train`` subcommand calls it once.
+When training or writing fails it removes the artifact names it would have
+written. Every artifact is written through ``dataset_io.write_atomic``
 (JSON through ``write_json``), so an interrupted run leaves each file whole
 or absent.
 
@@ -66,15 +68,13 @@ MODEL_ARTIFACTS = (CHECKPOINT_FILENAME, HISTORY_FILENAME, METRICS_FILENAME)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run; unknown keys in a config file are rejected."""
+    """The settings of one experiment run; unknown keys in a config file are
+    rejected. File paths are not settings: they reach ``run_experiment`` and
+    ``train_and_save`` as arguments."""
 
-    data_path: str = ""
-    output_dir: str = ""
     model_names: tuple[str, ...] = zoo.ZOO_NAMES
     seq_len: int = text_pipeline.DEFAULT_SEQUENCE_LENGTH
     vocab_size: int = text_pipeline.DEFAULT_VOCAB_SIZE
-    pad: str = "post"
-    stoplist: str | None = None
     embedding_dim: int = zoo.DEFAULT_EMBEDDING_DIM
     hidden_units: int = zoo.DEFAULT_HIDDEN_UNITS
     dense_hidden_units: int = zoo.DEFAULT_DENSE_HIDDEN_UNITS
@@ -93,8 +93,9 @@ class ExperimentConfig:
                             ("hidden_units", 1), ("dense_hidden_units", 1)):
             if getattr(self, name) < least:
                 raise DataError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
-        if self.pad not in ("pre", "post"):
-            raise DataError(f"pad must be 'pre' or 'post', got {self.pad!r}")
+        if self.seq_len > dataset_io.MAX_SEQ_LEN:
+            raise DataError(f"seq_len must be at most {dataset_io.MAX_SEQ_LEN} (the .nseq "
+                            f"header's uint32), got {self.seq_len!r}")
 
     @property
     def split(self) -> SplitSpec:
@@ -109,8 +110,7 @@ CONFIG_KEYS = frozenset(_TOP_KEYS + _TRAIN_KEYS)
 # JSON types accepted per field annotation (a string: these modules use
 # postponed annotations). An int may stand for a float; no field is a bool,
 # and a bool is never accepted for a number.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str,
-               "str | None": (str, type(None)), "tuple[str, ...]": (list, tuple)}
+_JSON_TYPES = {"int": int, "float": (int, float), "tuple[str, ...]": (list, tuple)}
 _FIELD_TYPES = {f.name: f.type for cls in (TrainConfig, ExperimentConfig) for f in fields(cls)}
 
 
@@ -250,9 +250,10 @@ def evaluate_on(spec, params, dataset, indices) -> MetricsReport:
     return compute_metrics(confusion_matrix(preds, dataset.labels[idx]))
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Train, evaluate, and serialize every selected model; returns the
-    manifest that was also written to the output directory.
+def run_experiment(config: ExperimentConfig, data_dir: str | Path, out_dir: str | Path) -> dict:
+    """Train, evaluate, and serialize every selected model on the
+    ``preprocess`` output in ``data_dir``; returns the manifest that was also
+    written to ``out_dir``.
 
     The dataset is read and split (a dataset too small to split is refused
     here), and then every output name of the run is claimed
@@ -262,11 +263,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     part-way keeps none of an earlier run's files of the models it selected
     and no listing of them.
     """
-    dataset, fingerprint = read_dataset_dir(config.data_path)
+    dataset, fingerprint = read_dataset_dir(data_dir)
     test_idx = split_indices(len(dataset), config.split, "test")
     model_files = [f"{name}/{artifact}" for name in config.model_names
                    for artifact in MODEL_ARTIFACTS]
-    out_dir, _ = claim_outputs(config.output_dir, [
+    out_dir, _ = claim_outputs(out_dir, [
         MANIFEST_FILENAME, RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME, *model_files])
 
     models: dict[str, dict] = {}

@@ -3,8 +3,10 @@ integer sequences and integer class-code labels (``DamageLabel`` values
 0-3) out.
 
 The stage order is fixed: normalize -> tokenize -> stopword removal ->
-lemmatize -> encode. Every stage is a pure function, so identical inputs
-produce bit-identical encodings on every run and platform.
+lemmatize -> encode. Encoding keeps a sequence's first ``seq_len`` ids and
+pads a shorter one at the end; padding is never placed in front. Every stage
+is a pure function, so identical inputs produce bit-identical encodings on
+every run and platform.
 
 The lemmatizer is a rule-plus-exception stemmer rather than a wrapper around
 an external linguistic model: an exception table handles irregular forms,
@@ -193,25 +195,19 @@ def encode_sequence(
     tokens: Sequence[str],
     vocab: Vocabulary,
     length: int = DEFAULT_SEQUENCE_LENGTH,
-    pad: str = "post",
 ) -> np.ndarray:
     """Fixed-length integer encoding of a token list.
 
     Unknown tokens map to the OOV index. Sequences longer than ``length``
-    keep their first ``length`` tokens; shorter ones are padded with the
-    padding index, trailing by default (``pad="pre"`` pads at the front).
+    keep their first ``length`` tokens; shorter ones are padded at the end
+    with the padding index (the one padding mode).
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    if pad not in ("pre", "post"):
-        raise ValueError(f"pad must be 'pre' or 'post', got {pad!r}")
     lookup = vocab.index_of
     ids = [lookup.get(t, OOV_INDEX) for t in tokens[:length]]
     out = np.zeros(length, dtype=np.uint32)
-    if pad == "post":
-        out[: len(ids)] = ids
-    else:
-        out[length - len(ids):] = ids
+    out[:len(ids)] = ids
     return out
 
 
@@ -234,17 +230,18 @@ def preprocess_corpus(
     vocab_size: int = DEFAULT_VOCAB_SIZE,
     seq_len: int = DEFAULT_SEQUENCE_LENGTH,
     stoplist: frozenset[str] | set[str] | None = None,
-    pad: str = "post",
 ) -> tuple[np.ndarray, np.ndarray, Vocabulary]:
     """Encode a whole corpus: (sequences [n, seq_len], labels [n], vocabulary).
 
     The vocabulary is built on the processed tokens of exactly these records,
-    so encoding is self-consistent with the returned vocabulary.
+    so encoding is self-consistent with the returned vocabulary. Each
+    sequence is cut or post-padded to ``seq_len`` (``encode_sequence``);
+    ``stoplist=None`` selects the bundled stoplist.
     """
     token_lists = [process_narrative(r.narrative, stoplist) for r in records]
     vocab = build_vocabulary(token_lists, max_size=vocab_size)
     sequences = np.stack(
-        [encode_sequence(tokens, vocab, length=seq_len, pad=pad) for tokens in token_lists]
+        [encode_sequence(tokens, vocab, length=seq_len) for tokens in token_lists]
     ) if token_lists else np.zeros((0, seq_len), dtype=np.uint32)
     labels = np.array([int(r.damage_level) for r in records], dtype=np.uint8)
     return sequences, labels, vocab

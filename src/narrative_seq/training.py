@@ -88,8 +88,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "learning_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 

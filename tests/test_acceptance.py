@@ -165,15 +165,13 @@ def test_c4_compare_runs_are_byte_identical(tmp_path):
 
         def run(out):
             config = config_from_dict({
-                "data_path": str(data_dir),
-                "output_dir": str(out),
                 "epochs": 2,
                 "seed": 17,
                 "embedding_dim": 16,
                 "hidden_units": 16,
                 "dense_hidden_units": 16,
             })
-            run_experiment(config)
+            run_experiment(config, data_dir, out)
             return out
 
         first = run(tmp_path / "run_a")
@@ -302,12 +300,8 @@ def test_c9_optional_full_scale_comparison(tmp_path):
             ),
         )
         dataset_io.write_vocab_sidecar(data_dir / dataset_io.VOCAB_FILENAME, vocab)
-        config = config_from_dict({
-            "data_path": str(data_dir),
-            "output_dir": str(tmp_path / "results"),
-            "seed": 0,
-        })
-        manifest = run_experiment(config)
+        config = config_from_dict({"seed": 0})
+        manifest = run_experiment(config, data_dir, tmp_path / "results")
         assert set(manifest["models"]) == set(ZOO_NAMES)
         table = (tmp_path / "results" / "results_table.txt").read_text()
         assert len(table.splitlines()) == 2 + sum(

@@ -6,6 +6,7 @@ import contextlib
 import csv
 import errno
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -255,6 +256,20 @@ class TestPipelineFlow:
         assert run_cli("compare", "--out", "x") == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_compare_without_out_is_usage_error(self, encoded_dir, capsys):
+        # Paths are flags only: --data and --out are required, like train's.
+        assert run_cli("compare", "--data", str(encoded_dir)) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["post", "pre"])
+    def test_pad_flag_is_usage_error(self, tmp_path, corpus_file, capsys, value):
+        # Post-padding is fixed; --pad is no flag.
+        out = tmp_path / "enc"
+        assert run_cli("preprocess", "--data", str(corpus_file), "--out", str(out),
+                       "--pad", value) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 SMALL = {"embedding_dim": 4, "hidden_units": 4, "dense_hidden_units": 4}
 
@@ -290,8 +305,19 @@ def _command_argv(command, out, corpus_file, encoded_dir, model_file):
     ("preprocess", ["--vocab-size", "0"], {}, "vocab_size"),
     ("preprocess", ["--vocab-size", "1"], {}, "vocab_size"),
     ("train", [], {"test_fraction": 1.5}, "test_fraction"),
+    # pad and stoplist are not config keys: post-padding is fixed, and the
+    # stoplist path is the --stoplist flag.
     ("preprocess", [], {"pad": "middle"}, "pad"),
     ("preprocess", [], {"stoplist": "no-such-stoplist.txt"}, "stoplist"),
+    ("preprocess", ["--stoplist", "no-such-stoplist.txt"], {}, "no-such-stoplist.txt"),
+    # An infinite step would train until a non-finite loss; a seq_len past
+    # the .nseq header's uint32 would fail in numpy (these two lengths are
+    # too large for numpy to describe, so nothing is allocated without the
+    # check either; test_harness pins the 2**32 boundary).
+    ("train", ["--lr", "inf"], {}, "learning_rate"),
+    ("compare", [], {"learning_rate": math.inf}, "learning_rate"),
+    ("preprocess", ["--seq-len", str(10**30)], {}, "seq_len"),
+    ("preprocess", [], {"seq_len": 2**63}, "seq_len"),
     ("train", [], {"epochs": "2"}, "epochs"),
     ("train", [], {"epochs": 2.5}, "epochs"),
     # revalidate_per_epoch, Adam's constants and the clip norm are not config keys.
@@ -314,14 +340,17 @@ def _command_argv(command, out, corpus_file, encoded_dir, model_file):
     ("train", [], {"validation_fraction_of_train": 0.0}, "validation_fraction_of_train"),
     ("compare", [], {"validation_fraction_of_train": 0.0}, "validation_fraction_of_train"),
 ], ids=["epochs-0", "batch-0", "seed-negative", "seq_len-0", "vocab_size-0", "vocab_size-1",
-        "test_fraction-1.5", "pad-middle", "stoplist-missing", "epochs-str", "epochs-float",
+        "test_fraction-1.5", "pad-middle", "stoplist-missing", "stoplist-flag-missing",
+        "train-lr-inf", "compare-lr-inf", "seq_len-flag-1e30", "seq_len-2**63",
+        "epochs-str", "epochs-float",
         "reval-removed", "beta1-removed", "beta2-removed", "epsilon-removed",
         "clip_norm-removed", "ingest-bogus", "preprocess-bogus", "train-bogus", "evaluate-bogus",
         "compare-bogus", "evaluate-empty-validation", "compare-empty-test",
         "train-empty-validation", "compare-empty-validation"])
 def test_invalid_config_is_data_error(tmp_path, corpus_file, encoded_dir, model_file,
-                                      capsys, command, flags, values, key):
-    # Exit 2 naming the key, and nothing written.
+                                      monkeypatch, capsys, command, flags, values, key):
+    # Exit 2 naming the key, before any training, and nothing written.
+    trained = _record_calls(monkeypatch, train_model)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SMALL, "epochs": 1, **values}))
     out = tmp_path / "out"
@@ -329,16 +358,19 @@ def test_invalid_config_is_data_error(tmp_path, corpus_file, encoded_dir, model_
     assert run_cli("--config", str(config), *argv, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and key in err
+    assert trained == []
     assert not out.exists()
 
 
 @pytest.mark.parametrize("key,old_default", [
-    ("test_fraction", 0.2), ("validation_fraction_of_train", 0.1)])
+    ("test_fraction", 0.2), ("validation_fraction_of_train", 0.1),
+    ("data_path", "encoded/"), ("output_dir", "results/"), ("stoplist", None), ("pad", "post")])
 @pytest.mark.parametrize("command", ["ingest", "preprocess", "train", "evaluate", "compare"])
 def test_split_fractions_are_unknown_keys(tmp_path, corpus_file, encoded_dir, model_file,
                                           capsys, command, key, old_default):
-    # Even at its old default, a split fraction is refused by every
-    # subcommand before it reads or writes anything.
+    # Even at its old default, a removed key (a split fraction, which the
+    # paper fixes; a file path, which is a flag only; or pad, fixed at the
+    # end) is refused by every subcommand before it reads or writes anything.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SMALL, "epochs": 1, key: old_default}))
     out = tmp_path / "out"
@@ -390,15 +422,17 @@ def test_twelve_records_split_9_1_2(tmp_path, encoded_dir, model_file, capsys):
 
 @pytest.mark.parametrize("spelling", ["config", "flag"])
 def test_empty_stoplist_path_is_data_error(tmp_path, corpus_file, capsys, spelling):
-    # An empty path names no file: it is unreadable, not a request for the
-    # bundled stoplist.
+    # An empty --stoplist path names no file: it is unreadable, not a request
+    # for the bundled stoplist. In a config file, stoplist is an unknown key.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"stoplist": ""} if spelling == "config" else {}))
     out = tmp_path / "out"
     flag = ["--stoplist", ""] if spelling == "flag" else []
     assert run_cli("--config", str(config), "preprocess", "--data", str(corpus_file),
                    "--out", str(out), "--vocab-size", "50", *flag) == 2
-    assert capsys.readouterr().err.startswith("data error: cannot read stoplist '': ")
+    assert capsys.readouterr().err.startswith({
+        "config": "data error: unknown config keys ['stoplist']\n",
+        "flag": "data error: cannot read stoplist '': "}[spelling])
     assert not out.exists()
 
 
@@ -735,7 +769,9 @@ def test_installed_entrypoint_smoke(corpus_file):
 
 # Every config key with a strategy for values it accepts and one for values
 # it may refuse. Size keys draw only small ints (or wrong-typed values), so
-# no example asks for a large model or a long sequence.
+# no example asks for a large model or a long sequence; the one large
+# seq_len, 10**30, is too large for numpy to describe, so nothing allocates
+# it even without the header check.
 _SIZE_LIMITS = {"seq_len": 16, "vocab_size": 64, "embedding_dim": 4, "hidden_units": 4,
                 "dense_hidden_units": 4, "epochs": 2, "batch_size": 64}
 _JSON_VALUES = st.recursive(
@@ -744,32 +780,34 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                  max_size=3),
     max_leaves=5)
-_NON_STRING_VALUES = _JSON_VALUES.filter(lambda value: not isinstance(value, str))
+_CONFIG_VALUES = {
+    **{key: (st.integers(1, limit), st.integers(-1, 0) | _JSON_VALUES)
+       for key, limit in _SIZE_LIMITS.items()},
+    "seq_len": (st.integers(1, _SIZE_LIMITS["seq_len"]),
+                st.integers(-1, 0) | st.just(10**30) | _JSON_VALUES),
+    "model_names": (st.lists(st.sampled_from(["sRNN", "GRU", "LSTM"]), min_size=1, unique=True),
+                    st.lists(st.sampled_from(["sRNN", "LSTM-GRU", ""])) | _JSON_VALUES),
+    "learning_rate": (st.floats(1e-6, 1e6),
+                      st.floats(-1.0, 0.0) | st.just(math.inf) | _JSON_VALUES),
+    "seed": (st.integers(0, 2**64), st.integers(-2, -1) | _JSON_VALUES),
+}
 
+# Keys every subcommand refuses: the removed split fractions, paths and pad,
+# and one unknown key.
+_REFUSED_KEYS = ("test_fraction", "validation_fraction_of_train", "data_path", "output_dir",
+                 "stoplist", "pad", "bogus")
 
-def _config_values(stoplist):
-    """(accepted, any) value strategies per config key. ``stoplist`` is a
-    readable stoplist; stoplist paths come only from a fixed set, so no
-    example reads an arbitrary file."""
-    sizes = {key: (st.integers(1, limit), st.integers(-1, 0) | _JSON_VALUES)
-             for key, limit in _SIZE_LIMITS.items()}
-    return {
-        **sizes,
-        "data_path": (st.text(max_size=6), _JSON_VALUES),
-        "output_dir": (st.text(max_size=6), _JSON_VALUES),
-        "model_names": (st.lists(st.sampled_from(["sRNN", "GRU", "LSTM"]), min_size=1,
-                                 unique=True),
-                        st.lists(st.sampled_from(["sRNN", "LSTM-GRU", ""])) | _JSON_VALUES),
-        "pad": (st.sampled_from(["pre", "post"]), st.just("middle") | _JSON_VALUES),
-        "stoplist": (st.sampled_from([None, str(stoplist)]),
-                     st.sampled_from(["", "no-such-stoplist.txt", "."]) | _NON_STRING_VALUES),
-        "learning_rate": (st.floats(1e-6, 1e6), st.floats(-1.0, 0.0) | _JSON_VALUES),
-        "seed": (st.integers(0, 2**64), st.integers(-2, -1) | _JSON_VALUES),
-    }
-
-
-# Keys every subcommand refuses: the removed split fractions and one unknown key.
-_REFUSED_KEYS = ("test_fraction", "validation_fraction_of_train", "bogus")
+# The flag spelling of each config key, and the subcommands that take it
+# (--seed is global and goes before the subcommand). --stoplist is a path,
+# not a key; its values come from a fixed set, so no example reads an
+# arbitrary file.
+_FLAGS = {"--seq-len": ("seq_len", {"preprocess"}),
+          "--vocab-size": ("vocab_size", {"preprocess"}),
+          "--stoplist": (None, {"preprocess"}),
+          "--epochs": ("epochs", {"train", "compare"}),
+          "--batch": ("batch_size", {"train", "compare"}),
+          "--lr": ("learning_rate", {"train", "compare"}),
+          "--seed": ("seed", None)}
 
 
 def _files_under(root):
@@ -781,22 +819,32 @@ def _files_under(root):
 @given(data=st.data())
 def test_any_config_exits_with_a_documented_code(tmp_path_factory, corpus_file, encoded_dir,
                                                  model_file, data):
-    # Whatever the config file holds, ingest, preprocess, train and evaluate
-    # exit 0, 1, 2 or 3 with no exception escaping main, and write nothing
-    # outside their --out. Drawn keys overlay small widths and one epoch, so
-    # a config that draws no size key trains quickly too.
+    # Whatever the config file and the flags hold, ingest, preprocess, train,
+    # evaluate and compare exit 0, 1, 2 or 3 with no exception escaping main,
+    # and write nothing outside their --out. Drawn keys overlay small widths
+    # and one epoch, so a config that draws no size key trains quickly too.
     work = tmp_path_factory.mktemp("any_config")
     stoplist = work / "stoplist.txt"
     stoplist.write_text("the\na\n", encoding="utf-8")
-    strategies = _config_values(stoplist)
-    keys = data.draw(st.lists(st.sampled_from(sorted(strategies)), max_size=4, unique=True),
+    keys = data.draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=4, unique=True),
                      label="keys")
     # Three values in four are of a kind the key accepts, so a good share
     # of examples gets past the config and trains.
-    values = {key: data.draw(strategies[key][data.draw(st.integers(0, 3)) == 0], label=key)
+    values = {key: data.draw(_CONFIG_VALUES[key][data.draw(st.integers(0, 3)) == 0], label=key)
               for key in keys}
     if data.draw(st.integers(0, 3), label="refused key") == 0:
         values[data.draw(st.sampled_from(_REFUSED_KEYS))] = data.draw(_JSON_VALUES)
+    flags = {}
+    for flag in data.draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=2, unique=True),
+                          label="flags"):
+        key = _FLAGS[flag][0]
+        if key is None:
+            value = data.draw(st.sampled_from([str(stoplist), "", "no-such-stoplist.txt", "."]))
+        else:
+            value = data.draw(_CONFIG_VALUES[key][data.draw(st.integers(0, 3)) == 0], label=flag)
+        flags[flag] = str(value)
+    global_flags = [w for flag, value in flags.items() if _FLAGS[flag][1] is None
+                    for w in (flag, value)]
     config = work / "config.json"
     config.write_text(json.dumps({**SMALL, "epochs": 1, **values}))
     out = work / "out"
@@ -808,8 +856,12 @@ def test_any_config_exits_with_a_documented_code(tmp_path_factory, corpus_file, 
                      ["train", "--data", str(encoded_dir), "--model", "sRNN",
                       "--out", str(out / "model")],
                      ["evaluate", "--model-file", str(model_file), "--data", str(encoded_dir),
-                      "--out", str(out / "eval")]):
-            assert main(["--config", str(config), *argv]) in (0, 1, 2, 3), argv
+                      "--out", str(out / "eval")],
+                     ["compare", "--data", str(encoded_dir), "--out", str(out / "cmp"),
+                      "--models", "sRNN"]):
+            argv += [w for flag, value in flags.items() if argv[0] in (_FLAGS[flag][1] or ())
+                     for w in (flag, value)]
+            assert main(["--config", str(config), *global_flags, *argv]) in (0, 1, 2, 3), argv
     after = [_files_under(root) for root in inputs]
     after[0] = {p: t for p, t in after[0].items() if out not in (p, *p.parents)}
     assert after == before

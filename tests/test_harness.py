@@ -16,10 +16,8 @@ from narrative_seq.training import SplitSpec, TrainConfig, split_dataset
 SMALL = dict(embedding_dim=8, hidden_units=8, dense_hidden_units=8)
 
 
-def _config(data_dir, out_dir, models=("sRNN", "GRU"), **extra):
+def _config(models=("sRNN", "GRU"), **extra):
     merged = {
-        "data_path": str(data_dir),
-        "output_dir": str(out_dir),
         "model_names": list(models),
         "epochs": 2,
         "seed": 11,
@@ -31,7 +29,7 @@ def _config(data_dir, out_dir, models=("sRNN", "GRU"), **extra):
 
 class TestConfig:
     def test_defaults(self):
-        config = config_from_dict({"data_path": "x", "output_dir": "y"})
+        config = config_from_dict({})
         assert config.model_names == tuple(
             ["LSTM", "BLSTM", "sRNN", "GRU", "GRU-LSTM", "GRU-BLSTM",
              "sRNN-BLSTM", "sRNN-LSTM", "GRU-BLSTM-sRNN", "GRU-LSTM-sRNN"]
@@ -49,7 +47,7 @@ class TestConfig:
     def test_split_is_derived_from_the_seed(self):
         # The split is not a field: one seed pins it, in the library as in the CLI.
         assert "split" not in {f.name for f in fields(ExperimentConfig)}
-        assert len(harness.CONFIG_KEYS) == 14
+        assert len(harness.CONFIG_KEYS) == 10
         for seed in (0, 7):
             config = ExperimentConfig(train=TrainConfig(seed=seed))
             assert config.split == SplitSpec(seed=seed)
@@ -91,10 +89,21 @@ class TestConfig:
         # Nor are the split fractions, which the paper fixes at 80/20 + 10%.
         ({"test_fraction": 0.2}, "test_fraction"),
         ({"validation_fraction_of_train": 0.1}, "validation_fraction_of_train"),
+        # Nor are file paths, which are flags or arguments, or the padding
+        # side, which is fixed at the end.
+        ({"data_path": "encoded/"}, "data_path"),
+        ({"output_dir": "results/"}, "output_dir"),
+        ({"stoplist": None}, "stoplist"),
+        ({"pad": "post"}, "pad"),
+        # A step must be finite, and seq_len must fit the .nseq header's uint32.
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"seq_len": 2**32}, "seq_len"),
     ], ids=["bool-seed", "float-epochs", "str-lr", "str-models", "int-stoplist",
             "zero-width", "beta2-1", "nan-clip", "beta1-removed", "beta2-removed",
             "epsilon-removed", "clip_norm-removed", "test_fraction-removed",
-            "validation_fraction_of_train-removed"])
+            "validation_fraction_of_train-removed", "data_path-removed", "output_dir-removed",
+            "stoplist-removed", "pad-removed", "inf-lr", "nan-lr", "seq_len-2**32"])
     def test_invalid_values_name_the_key(self, values, key):
         with pytest.raises(DataError, match=key):
             config_from_dict(values)
@@ -102,14 +111,21 @@ class TestConfig:
     def test_int_accepted_for_float(self):
         assert config_from_dict({"learning_rate": 1}).train.learning_rate == 1
 
+    def test_longest_seq_len_fits_the_nseq_header(self):
+        # Building the config allocates nothing, so the boundary is safe here.
+        assert config_from_dict({"seq_len": 2**32 - 1}).seq_len == 2**32 - 1
+
     def test_readme_schema_matches(self):
         # The README's schema block lists every accepted key with its default.
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Config file schema", 1)[1]
         schema = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
         assert set(schema) == harness.CONFIG_KEYS
-        paths = {"data_path": "", "output_dir": ""}
-        assert config_from_dict({**schema, **paths}) == config_from_dict({})
+        default = config_from_dict({})
+        train_keys = {f.name for f in fields(TrainConfig)}
+        for key, value in schema.items():
+            expected = getattr(default.train if key in train_keys else default, key)
+            assert value == (list(expected) if isinstance(expected, tuple) else expected), key
 
     def test_readme_cli_flags_are_accepted(self):
         # Every flag the README's command-line block shows for a subcommand
@@ -140,8 +156,8 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_single_model_manifest(self, encoded_fixture_dir, tmp_path):
-        config = _config(encoded_fixture_dir, tmp_path / "out", models=("LSTM",))
-        manifest = run_experiment(config)
+        manifest = run_experiment(_config(models=("LSTM",)), encoded_fixture_dir,
+                                  tmp_path / "out")
         assert set(manifest["models"]) == {"LSTM"}
         assert manifest["models"]["LSTM"]["status"] == "ok"
         files = set(manifest["files"])
@@ -155,8 +171,7 @@ class TestRunExperiment:
 
     def test_artifacts_and_hashes(self, encoded_fixture_dir, tmp_path):
         out = tmp_path / "out"
-        config = _config(encoded_fixture_dir, out)
-        manifest = run_experiment(config)
+        manifest = run_experiment(_config(), encoded_fixture_dir, out)
         for rel, digest in manifest["files"].items():
             blob = (out / rel).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == digest
@@ -165,7 +180,7 @@ class TestRunExperiment:
 
     def test_metrics_in_range_and_both_modes(self, encoded_fixture_dir, tmp_path):
         out = tmp_path / "out"
-        run_experiment(_config(encoded_fixture_dir, out, models=("GRU",)))
+        run_experiment(_config(models=("GRU",)), encoded_fixture_dir, out)
         payload = json.loads((out / "GRU" / "metrics.json").read_text())
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert set(payload["aggregates"]) == {"weighted", "macro"}
@@ -174,20 +189,20 @@ class TestRunExperiment:
 
     def test_results_table_in_zoo_order(self, encoded_fixture_dir, tmp_path):
         out = tmp_path / "out"
-        run_experiment(_config(encoded_fixture_dir, out, models=("sRNN", "GRU")))
+        run_experiment(_config(models=("sRNN", "GRU")), encoded_fixture_dir, out)
         lines = (out / "results_table.txt").read_text().splitlines()
         names = [line.split()[0] for line in lines[2:]]
         assert names == ["sRNN", "GRU"]
 
     def test_history_rows_match_epochs(self, encoded_fixture_dir, tmp_path):
         out = tmp_path / "out"
-        run_experiment(_config(encoded_fixture_dir, out, models=("sRNN",), epochs=3))
+        run_experiment(_config(models=("sRNN",), epochs=3), encoded_fixture_dir, out)
         rows = (out / "sRNN" / "history.csv").read_text().strip().splitlines()
         assert len(rows) == 4  # header + one per epoch
 
     def test_paired_split_across_models(self, encoded_fixture_dir):
         # Identical SplitSpec means identical index sets for every model.
-        config = _config(encoded_fixture_dir, "unused")
+        config = _config()
         n = 200
         first = split_dataset(n, config.split)
         second = split_dataset(n, config.split)
@@ -204,7 +219,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "train_model", flaky)
         out = tmp_path / "out"
-        manifest = run_experiment(_config(encoded_fixture_dir, out))
+        manifest = run_experiment(_config(), encoded_fixture_dir, out)
         assert manifest["models"]["GRU"]["status"] == "failed"
         assert "injected" in manifest["models"]["GRU"]["error"]
         assert manifest["models"]["sRNN"]["status"] == "ok"
@@ -219,7 +234,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "train_model", failing)
         dataset, fingerprint = harness.read_dataset_dir(encoded_fixture_dir)
-        config = _config(encoded_fixture_dir, tmp_path / "out")
+        config = _config()
         existing = tmp_path / "existing"
         existing.mkdir()
         for model_dir in (existing, tmp_path / "fresh"):
@@ -230,8 +245,8 @@ class TestRunExperiment:
     def test_failed_rerun_leaves_none_of_the_earlier_artifacts(
             self, encoded_fixture_dir, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        config = _config(encoded_fixture_dir, out, models=("sRNN",), epochs=1)
-        run_experiment(config)
+        config = _config(models=("sRNN",), epochs=1)
+        run_experiment(config, encoded_fixture_dir, out)
         model_dir = out / "sRNN"
         artifacts = sorted(p.name for p in model_dir.iterdir())
         assert artifacts == ["checkpoint.nsck", "history.csv", "metrics.json"]
@@ -241,7 +256,7 @@ class TestRunExperiment:
 
         with monkeypatch.context() as patch:
             patch.setattr(harness, "train_model", failing)
-            manifest = run_experiment(config)
+            manifest = run_experiment(config, encoded_fixture_dir, out)
         assert manifest["models"]["sRNN"]["status"] == "failed"
         # The directory was there before the rerun, so it stays, emptied.
         assert model_dir.is_dir() and list(model_dir.iterdir()) == []
@@ -250,7 +265,7 @@ class TestRunExperiment:
         # with it; the directory standing in its way is left alone.
         (model_dir / "metrics.json").mkdir()
         with pytest.raises(DataError, match="metrics.json"):
-            run_experiment(config)
+            run_experiment(config, encoded_fixture_dir, out)
         assert [p.name for p in model_dir.iterdir()] == ["metrics.json"]
 
     def test_rerun_stopped_by_a_data_error_leaves_no_earlier_listing(
@@ -258,15 +273,15 @@ class TestRunExperiment:
         # The earlier run's manifest, table and CSV would list GRU's files,
         # which the failed rerun has removed.
         out = tmp_path / "out"
-        config = _config(encoded_fixture_dir, out, epochs=1)
-        run_experiment(config)
+        config = _config(epochs=1)
+        run_experiment(config, encoded_fixture_dir, out)
         listings = (harness.MANIFEST_FILENAME, harness.RESULTS_TABLE_FILENAME,
                     harness.RESULTS_CSV_FILENAME)
         assert all((out / name).is_file() for name in listings)
         (out / "GRU" / "metrics.json").unlink()
         (out / "GRU" / "metrics.json").mkdir()
         with pytest.raises(DataError, match="metrics.json"):
-            run_experiment(config)
+            run_experiment(config, encoded_fixture_dir, out)
         assert [name for name in listings if (out / name).exists()] == []
         # The claim stops at GRU's metrics.json before any model trains; the
         # earlier files of the selected models it passed on the way are gone.
@@ -274,6 +289,5 @@ class TestRunExperiment:
         assert [p.name for p in (out / "GRU").iterdir()] == ["metrics.json"]
 
     def test_missing_dataset_is_data_error(self, tmp_path):
-        config = _config(tmp_path / "nowhere", tmp_path / "out", models=("LSTM",))
         with pytest.raises(DataError):
-            run_experiment(config)
+            run_experiment(_config(models=("LSTM",)), tmp_path / "nowhere", tmp_path / "out")

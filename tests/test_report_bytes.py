@@ -116,9 +116,8 @@ def fixed_training(monkeypatch):
 
 
 def _compare(data_dir, out):
-    harness.run_experiment(harness.config_from_dict(
-        {"data_path": str(data_dir), "output_dir": str(out),
-         "model_names": list(MODELS), **DIMS}))
+    harness.run_experiment(harness.config_from_dict({"model_names": list(MODELS), **DIMS}),
+                           data_dir, out)
 
 
 def test_compare_results_table_and_csv(data_dir, tmp_path, fixed_scores, fixed_training):

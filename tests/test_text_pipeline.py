@@ -190,16 +190,9 @@ class TestEncodeSequence:
         out = encode_sequence(tokens, vocab, length=3)
         npt.assert_array_equal(out, [vocab.index(t) for t in tokens[:3]])
 
-    def test_pre_padding_mode(self, vocab):
-        npt.assert_array_equal(
-            encode_sequence(["b"], vocab, length=4, pad="pre"), [0, 0, 0, 2]
-        )
-
     def test_length_validation(self, vocab):
         with pytest.raises(ValueError):
             encode_sequence([], vocab, length=0)
-        with pytest.raises(ValueError):
-            encode_sequence([], vocab, pad="sideways")
 
     @given(
         st.lists(st.sampled_from(["a", "b", "c", "zzz"]), max_size=50),
