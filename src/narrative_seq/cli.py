@@ -3,7 +3,9 @@ and compare subcommands over the library.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. In
 compare mode a numeric failure in one model is recorded per model; the run
-exits 0 as long as at least one model succeeds.
+exits 0 as long as at least one model succeeds. ``train`` and ``compare``
+train with numpy's floating-point warnings off, so a non-finite loss is
+reported once, by its numeric failure line.
 
 Every subcommand resolves its settings the same way: the ``--config`` JSON
 object, overlaid with each flag given on the command line whose destination
@@ -33,6 +35,8 @@ import json
 import sys
 
 from pathlib import Path
+
+import numpy as np
 
 from . import dataset_io, harness
 from .checkpoint import load_checkpoint
@@ -164,8 +168,9 @@ def _cmd_preprocess(args, config: harness.ExperimentConfig) -> int:
 def _cmd_train(args, config: harness.ExperimentConfig) -> int:
     dataset, fingerprint = harness.read_dataset_dir(args.data)
     harness.split_indices(len(dataset), config.split, "validation")
-    spec, history, _ = harness.train_and_save(args.model, config, dataset, fingerprint,
-                                              args.out)
+    with np.errstate(all="ignore"):  # a non-finite loss is reported by its NumericError
+        spec, history, _ = harness.train_and_save(args.model, config, dataset, fingerprint,
+                                                  args.out)
     last = history[-1]
     print(
         f"trained {spec.name} for {config.train.epochs} epochs: "
@@ -196,7 +201,8 @@ def _cmd_evaluate(args, config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_compare(args, config: harness.ExperimentConfig) -> int:
-    manifest = harness.run_experiment(config, args.data, args.out)
+    with np.errstate(all="ignore"):  # reported by the model's failed line; workers take it
+        manifest = harness.run_experiment(config, args.data, args.out)
     # The manifest lists the table only when a model of this run succeeded.
     if harness.RESULTS_TABLE_FILENAME in manifest["files"]:
         table = Path(args.out) / harness.RESULTS_TABLE_FILENAME

@@ -30,6 +30,12 @@ seeded by the run's one ``seed``: ``ExperimentConfig.split`` derives it.
 ``split_indices`` (from ``training``) is the one lookup from a split name to
 its record indices; it refuses a dataset too small to split.
 ``evaluate_on`` is the one scoring path of ``evaluate`` and ``compare``.
+
+``run_experiment`` runs each model as one ``_model_job``: in
+``_worker_count`` spawned worker processes with one BLAS thread each when
+there is more than one usable CPU and model, else in this process. Either
+way it collects the outcomes in config order, so the artifacts do not
+depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -233,14 +240,20 @@ def train_and_save(name: str, config: ExperimentConfig, dataset: dataset_io.Enco
             report = evaluate_on(spec, params, dataset, test_idx)
             write_json(model_dir / METRICS_FILENAME, report.to_dict())
     except BaseException:
-        for artifact in artifacts:
-            with contextlib.suppress(OSError):
-                (model_dir / artifact).unlink(missing_ok=True)
-        if created:
-            with contextlib.suppress(OSError):  # rmdir removes only an empty directory
-                model_dir.rmdir()
+        _discard(model_dir, artifacts, created)
         raise
     return spec, history, report
+
+
+def _discard(model_dir: Path, artifacts, created: bool) -> None:
+    """Unlink ``artifacts`` in ``model_dir`` (never a recursive delete), and
+    the directory too when ``created`` and it is then empty."""
+    for artifact in artifacts:
+        with contextlib.suppress(OSError):
+            (model_dir / artifact).unlink(missing_ok=True)
+    if created:
+        with contextlib.suppress(OSError):  # rmdir removes only an empty directory
+            model_dir.rmdir()
 
 
 def evaluate_on(spec, params, dataset, indices) -> MetricsReport:
@@ -248,6 +261,93 @@ def evaluate_on(spec, params, dataset, indices) -> MetricsReport:
     idx = np.asarray(indices)
     preds, _ = score_records(spec, params, dataset, idx)
     return compute_metrics(confusion_matrix(preds, dataset.labels[idx]))
+
+
+# A worker process's run, set once by ``_start_worker``: (config, dataset,
+# fingerprint, test indices, out_dir), or the ``DataError`` that kept the
+# worker from reading the dataset.
+_worker_run = None
+
+
+def _worker_count(n_models: int) -> int:
+    """The processes a run of ``n_models`` trains in: one per usable CPU, at
+    most one per model."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), n_models)
+    return min(os.cpu_count() or 1, n_models)
+
+
+def _start_worker(config: ExperimentConfig, data_dir, out_dir, fingerprint: str,
+                  numpy_errors: dict) -> None:
+    """Initializer of a worker process: the parent's numpy error handling,
+    and the dataset, read once. A vocabulary that is not the one the parent
+    read is refused."""
+    global _worker_run
+    np.seterr(**numpy_errors)
+    try:
+        dataset, found = read_dataset_dir(data_dir)
+        if found != fingerprint:
+            raise DataError(f"{Path(data_dir) / dataset_io.VOCAB_FILENAME} changed while "
+                            "the run was starting")
+        _worker_run = (config, dataset, fingerprint,
+                       split_indices(len(dataset), config.split, "test"), Path(out_dir))
+    except DataError as exc:  # raised by the worker's jobs, so the run stops with exit 2
+        _worker_run = exc
+
+
+def _model_job(name: str, run=None) -> tuple[str, object]:
+    """Train, save and score model ``name`` of ``run`` (a worker passes none
+    and takes its own): ``("ok", MetricsReport)``, or ``("failed", message)``
+    on a ``NumericError``."""
+    run = _worker_run if run is None else run
+    if isinstance(run, DataError):
+        raise run
+    config, dataset, fingerprint, test_idx, out_dir = run
+    try:
+        _, _, report = train_and_save(name, config, dataset, fingerprint, out_dir / name,
+                                      test_idx)
+    except NumericError as exc:
+        return "failed", str(exc)
+    return "ok", report
+
+
+def _pooled_outcomes(names, workers: int, initargs: tuple):
+    """``(name, outcome)`` of each model in config order, the models trained
+    in ``workers`` spawned processes with one BLAS thread each.
+
+    Closing the generator early, or an error in a job, cancels the jobs not
+    yet started and waits for the running ones, so no worker outlives it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import resource_tracker
+
+    # The pool's queues start multiprocessing's resource tracker, a process
+    # that would outlive the run; it is stopped with the pool unless it
+    # already ran.
+    tracker = resource_tracker._resource_tracker
+    started_tracker = tracker._fd is None
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+                                 _start_worker, initargs) as pool:
+            # Workers start inside submit; OpenBLAS reads this as numpy loads in them.
+            threads = os.environ.get("OPENBLAS_NUM_THREADS")
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+            try:
+                futures = [pool.submit(_model_job, name) for name in names]
+            finally:
+                if threads is None:
+                    del os.environ["OPENBLAS_NUM_THREADS"]
+                else:
+                    os.environ["OPENBLAS_NUM_THREADS"] = threads
+            try:
+                for name, future in zip(names, futures):
+                    yield name, future.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
+    finally:
+        if started_tracker:
+            tracker._stop()
 
 
 def run_experiment(config: ExperimentConfig, data_dir: str | Path, out_dir: str | Path) -> dict:
@@ -262,25 +362,47 @@ def run_experiment(config: ExperimentConfig, data_dir: str | Path, out_dir: str 
     validate, evaluate or write trains nothing, and a run that stops
     part-way keeps none of an earlier run's files of the models it selected
     and no listing of them.
+
+    Each model is one ``_model_job``. With more than one usable CPU and
+    model, the jobs run in ``_worker_count`` spawned processes, each with one
+    BLAS thread, that read the dataset themselves; otherwise they run here,
+    one after another. The outcomes are collected in config order either way,
+    so every artifact is byte-identical to a one-process run. An error other
+    than a ``NumericError`` stops the run: the running jobs finish, and the
+    artifacts of the failing model and of every later one are removed, as a
+    one-process run would never have written them.
     """
     dataset, fingerprint = read_dataset_dir(data_dir)
     test_idx = split_indices(len(dataset), config.split, "test")
-    model_files = [f"{name}/{artifact}" for name in config.model_names
-                   for artifact in MODEL_ARTIFACTS]
+    names = config.model_names
+    model_files = [f"{name}/{artifact}" for name in names for artifact in MODEL_ARTIFACTS]
     out_dir, _ = claim_outputs(out_dir, [
         MANIFEST_FILENAME, RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME, *model_files])
+    fresh = {name for name in names if not (out_dir / name).is_dir()}
+
+    workers = _worker_count(len(names))
+    if workers == 1:
+        run = (config, dataset, fingerprint, test_idx, out_dir)
+        outcomes = ((name, _model_job(name, run)) for name in names)
+    else:
+        outcomes = _pooled_outcomes(names, workers, (config, data_dir, out_dir, fingerprint,
+                                                     np.geterr()))
+    del dataset, test_idx  # workers read their own; the parent keeps none while they train
 
     models: dict[str, dict] = {}
     reports: list[tuple[str, MetricsReport]] = []
-    for name in config.model_names:
-        try:
-            _, _, report = train_and_save(name, config, dataset, fingerprint, out_dir / name,
-                                          test_idx)
-        except NumericError as exc:
-            models[name] = {"status": "failed", "error": str(exc)}
-            continue
-        models[name] = {"status": "ok"}
-        reports.append((name, report))
+    try:
+        for name, (status, value) in outcomes:
+            if status == "ok":
+                models[name] = {"status": "ok"}
+                reports.append((name, value))
+            else:
+                models[name] = {"status": "failed", "error": value}
+    except BaseException:
+        outcomes.close()
+        for name in names[len(models):]:
+            _discard(out_dir / name, MODEL_ARTIFACTS, name in fresh)
+        raise
 
     written = [f"{name}/{artifact}" for name, _ in reports for artifact in MODEL_ARTIFACTS]
     if reports:

@@ -125,10 +125,22 @@ def lemmatize(tokens: Sequence[str], exceptions: Mapping[str, str] | None = None
     return [_lemmatize_token(t, table) for t in tokens]
 
 
-def process_narrative(text: str, stoplist: frozenset[str] | set[str] | None = None) -> list[str]:
-    """Full token pipeline for one narrative in the fixed stage order."""
+def process_narrative(text: str, stoplist: frozenset[str] | set[str] | None = None,
+                      lemmas: dict[str, str] | None = None) -> list[str]:
+    """Full token pipeline for one narrative in the fixed stage order.
+
+    ``lemmas`` memoizes the lemma of each token across calls:
+    ``preprocess_corpus`` shares one dict over a corpus, so each distinct
+    token is lemmatized once.
+    """
     stop = default_stoplist() if stoplist is None else stoplist
-    return lemmatize(remove_stopwords(tokenize(text), stop))
+    tokens = remove_stopwords(tokenize(text), stop)
+    lemmas = {} if lemmas is None else lemmas
+    table = default_lemma_exceptions()
+    for token in tokens:
+        if token not in lemmas:
+            lemmas[token] = _lemmatize_token(token, table)
+    return [lemmas[token] for token in tokens]
 
 
 @dataclass(frozen=True)
@@ -238,7 +250,8 @@ def preprocess_corpus(
     sequence is cut or post-padded to ``seq_len`` (``encode_sequence``);
     ``stoplist=None`` selects the bundled stoplist.
     """
-    token_lists = [process_narrative(r.narrative, stoplist) for r in records]
+    lemmas: dict[str, str] = {}
+    token_lists = [process_narrative(r.narrative, stoplist, lemmas) for r in records]
     vocab = build_vocabulary(token_lists, max_size=vocab_size)
     sequences = np.stack(
         [encode_sequence(tokens, vocab, length=seq_len) for tokens in token_lists]

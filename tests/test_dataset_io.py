@@ -273,9 +273,10 @@ def _changes_a_directory(call: ast.Call) -> bool:
 
 def test_claim_outputs_owns_the_output_names():
     # harness.claim_outputs decides what a command may leave in its output
-    # directory. Beside it only train_and_save's failure clean-up and
-    # write_atomic's temp file create or remove a directory entry.
-    owners = {"harness.py": ("claim_outputs", "train_and_save"),
+    # directory. Beside it only the failure clean-up (_discard, which
+    # train_and_save and a stopped run_experiment share) and write_atomic's
+    # temp file create or remove a directory entry.
+    owners = {"harness.py": ("claim_outputs", "_discard"),
               "dataset_io.py": ("write_atomic",)}
     inside, outside = _calls_by_owner(_changes_a_directory, owners)
     assert inside, "the scan no longer sees the owners' own calls"

@@ -218,6 +218,8 @@ class TestRunExperiment:
             return real_train(spec, dataset, config, split)
 
         monkeypatch.setattr(harness, "train_model", flaky)
+        # A spawned worker would not see the patch: train in this process.
+        monkeypatch.setattr(harness, "_worker_count", lambda n_models: 1)
         out = tmp_path / "out"
         manifest = run_experiment(_config(), encoded_fixture_dir, out)
         assert manifest["models"]["GRU"]["status"] == "failed"

@@ -56,6 +56,8 @@ def fixed_scores(monkeypatch):
         return np.roll(PREDS, shift)[np.asarray(indices)], 0.0
 
     monkeypatch.setattr(harness, "score_records", score)
+    # A spawned worker would not see the patch: train in this process.
+    monkeypatch.setattr(harness, "_worker_count", lambda n_models: 1)
 
 
 def _checkpoint(data_dir, path):
@@ -113,6 +115,8 @@ def fixed_training(monkeypatch):
         return init_params(spec, dataset.vocab_size, SeededRng(0)), history
 
     monkeypatch.setattr(harness, "train_model", train)
+    # A spawned worker would not see the patch: train in this process.
+    monkeypatch.setattr(harness, "_worker_count", lambda n_models: 1)
 
 
 def _compare(data_dir, out):

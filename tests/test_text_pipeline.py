@@ -123,6 +123,24 @@ class TestLemmatize:
     def test_outputs_nonempty(self, tokens):
         assert all(out for out in lemmatize(tokens))
 
+    @given(st.lists(st.lists(st.sampled_from(["was", "flies", "the", "landing", "red", "gear",
+                                              "passes", "departed", "is"]), max_size=12),
+                    max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_lemma_memo_changes_no_token(self, narratives):
+        # preprocess_corpus shares one memo over a corpus: each narrative
+        # still gets the tokens of the unmemoized stages, and the memo holds
+        # each distinct kept token once.
+        from narrative_seq.text_pipeline import process_narrative
+
+        memo = {}
+        for words in narratives:
+            text = " ".join(words)
+            expected = lemmatize(remove_stopwords(tokenize(text), default_stoplist()))
+            assert process_narrative(text, None, memo) == expected
+        kept = {w for words in narratives for w in words} - default_stoplist()
+        assert memo == {w: lemmatize([w])[0] for w in kept}
+
 
 class TestVocabulary:
     def test_empty_corpus_reserved_only(self):
