@@ -25,7 +25,8 @@ first, and is the only forward implementation of each cell: training,
 evaluation, the sequence functions and the ``*_step`` functions all run it.
 It projects the inputs with one GEMM per ``CHUNK_STEPS`` time steps, takes
 one recurrent GEMM (two for the GRU, whose candidate needs the reset gate)
-and one sigmoid call per step, and keeps its caches time-major
+and one sigmoid call per step, which writes the sigmoid gates straight into
+that step's gate row (``out=``), and keeps its caches time-major
 (``[L, B, ...]``) so every per-step read and write is one contiguous block.
 
 The backward pass walks the same chunks from last to first. Its step loop
@@ -389,7 +390,7 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
             elif kind is CellKind.LSTM:
                 pre = xw_t + matmul(h_prev, U) + b
                 g_t = gates[t]
-                g_t[:, :n_sig] = sigmoid(pre[:, :n_sig])
+                sigmoid(pre[:, :n_sig], out=g_t[:, :n_sig])
                 g_t[:, n_sig:] = act(pre[:, n_sig:])
                 i, f, o, g = (g_t[:, cols[k]] for k in ("_i", "_f", "_o", "_g"))
                 c[t + 1] = f * c[t] + i * g
@@ -397,7 +398,7 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
                 h[t + 1] = o * ac[t]
             else:
                 g_t = gates[t]
-                g_t[:, :n_sig] = sigmoid(xw_t[:, :n_sig] + matmul(h_prev, U) + b[:n_sig])
+                sigmoid(xw_t[:, :n_sig] + matmul(h_prev, U) + b[:n_sig], out=g_t[:, :n_sig])
                 z, r, hbar = (g_t[:, cols[k]] for k in ("_z", "_r", "_h"))
                 hbar[:] = act(xw_t[:, n_sig:] + matmul(r * h_prev, p["U_h"]) + b[n_sig:])
                 h[t + 1] = (1.0 - z) * h_prev + z * hbar

@@ -69,20 +69,23 @@ def relu(x: Tensor) -> Tensor:
     return np.maximum(0.0, x)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function.
+def sigmoid(x: Tensor, out: Tensor | None = None) -> Tensor:
+    """Logistic function ``1 / (1 + exp(-x))`` in float64, in four passes.
 
-    With ``e = exp(-|x|)`` this is ``1/(1+e)`` for ``x >= 0`` and ``e/(1+e)``
-    otherwise, which never overflows and is bit-identical to evaluating each
-    branch on its own elements; the branch picks the numerator, so there is
-    one division. ``minimum(x, -x)`` equals ``-|x|`` but keeps the sign bit
-    of a NaN input. ``exp`` underflows to zero or a subnormal for large
-    ``|x|``; that is the correctly rounded result, so underflow is not
-    reported.
+    The passes ``negative``, ``exp``, ``+= 1.0`` and ``divide(1.0, .)`` all
+    write into one float64 array: ``out`` when given (any float64 array of
+    ``x``'s shape, a strided slice included), which is then returned, else a
+    new one. Scalars, lists and integer arrays give float64; a scalar gives a
+    0-d array. ``exp(-x)`` overflows to ``inf`` below about -709.78, where the
+    result is 0 although the exact value is under 2.3e-308, and underflows for
+    large ``x``, where the result rounds to 1; neither is reported. A NaN
+    input gives NaN, but its sign bit is not kept.
     """
-    with np.errstate(under="ignore"):
-        e = np.exp(np.minimum(x, -x))
-        return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
+    with np.errstate(over="ignore", under="ignore"):
+        e = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
+        np.exp(e, out=e)
+        e += 1.0
+        return np.divide(1.0, e, out=e)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -161,16 +161,30 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def clip_gradients(grads: ParamDict, clip_norm: float) -> float:
     """Scale all gradients in place so their global norm is at most
-    ``clip_norm``; returns the pre-clip global norm."""
+    ``clip_norm``; returns the pre-clip global norm.
+
+    The norm is the square root of the plain sum of squares. Only when that
+    sum overflows while every gradient is finite is the root taken again on
+    the gradients divided by their largest magnitude ``big``; the norm is
+    then ``big * root`` (``inf`` at the very top of float64) and the
+    gradients are scaled by ``clip_norm / root / big``, so huge finite
+    gradients are scaled down rather than zeroed. A non-finite gradient
+    gives a non-finite norm.
+    """
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = math.sqrt(total)
-    if norm > clip_norm:
-        scale = clip_norm / norm
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            total += float(np.sum(g * g))
+    root, big = math.sqrt(total), 1.0
+    if math.isinf(root) and all(np.isfinite(g).all() for g in grads.values()):
+        big = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+        with np.errstate(under="ignore"):
+            root = math.sqrt(sum(float(np.sum((g / big) ** 2)) for g in grads.values()))
+    if big * root > clip_norm:
+        scale = clip_norm / root / big
         for g in grads.values():
             g *= scale
-    return norm
+    return big * root
 
 
 def adam_update(params: ParamDict, grads: ParamDict, state: AdamState,

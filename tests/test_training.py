@@ -122,6 +122,28 @@ class TestClipGradients:
         total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total == pytest.approx(5.0)
 
+    def test_finite_gradients_whose_squares_overflow_are_scaled_not_zeroed(self):
+        grads = {"w": np.array([3e154, 4e154]), "b": np.zeros(0)}
+        with np.errstate(all="raise"):
+            norm = clip_gradients(grads, 5.0)
+        assert norm == pytest.approx(5e154)
+        npt.assert_allclose(grads["w"], [3.0, 4.0], rtol=1e-15)
+
+    def test_gradients_whose_norm_overflows_keep_their_direction(self):
+        grads = {"w": np.full(4, 1.7e308)}
+        with np.errstate(all="raise"):
+            assert clip_gradients(grads, 5.0) == math.inf
+        npt.assert_allclose(grads["w"], np.full(4, 2.5), rtol=1e-15)
+
+    def test_non_finite_gradients_keep_a_non_finite_norm(self):
+        grads = {"w": np.array([np.inf, 1.0])}
+        with np.errstate(invalid="ignore"):
+            assert clip_gradients(grads, 5.0) == math.inf
+        assert np.isnan(grads["w"][0]) and grads["w"][1] == 0.0
+        grads = {"w": np.array([np.nan, 1.0])}
+        assert math.isnan(clip_gradients(grads, 5.0))
+        assert grads["w"][1] == 1.0
+
 
 class TestAdamUpdate:
     def _setup(self, theta=0.0):
