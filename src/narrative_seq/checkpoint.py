@@ -80,7 +80,7 @@ def load_checkpoint(path: str | Path, expected_vocab_fingerprint: str
     (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
     try:
         header = json.loads(raw[header_start:header_start + header_len])
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (RecursionError, ValueError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header: not a JSON object")
@@ -119,6 +119,9 @@ def _read_body(path: Path, header: dict, blob: bytes,
     np_dtype = np.dtype(_DTYPES[header["blob_dtype"]])
     spec = ModelSpec.from_dict(header["model_spec"])
     shapes = {e["name"]: tuple(e["shape"]) for e in header["tensors"]}
+    empty = sorted(name for name, shape in shapes.items() if any(d < 1 for d in shape))
+    if empty:
+        raise CheckpointError(f"{path}: tensor manifest has a dimension below 1 at: {empty}")
     expected = param_shapes(spec, shapes.get("embedding", (0,))[0])
     if len(header["tensors"]) != len(expected) or shapes != expected:
         wrong = sorted(n for n in shapes.keys() | expected.keys()

@@ -145,7 +145,7 @@ _Parsed = list[tuple[int, OccurrenceRecord | None, str]]
 def _json_records(text: str, path: Path) -> _Parsed:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
         raise DataError(f"{path}: expected a top-level JSON array of records")

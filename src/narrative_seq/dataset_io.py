@@ -123,7 +123,7 @@ def read_encoded_dataset(path: str | Path) -> EncodedDataset:
     records = np.frombuffer(raw, dtype=np.uint8, count=n * record_bytes, offset=offset)
     records = records.reshape(n, record_bytes)
     labels = records[:, 0].copy()
-    sequences = records[:, 1:].copy().view("<u4").astype(np.uint32)
+    sequences = records[:, 1:].copy().view("<u4").astype(np.uint32, copy=False)
     if sequences.size and int(sequences.max()) >= vocab_size:
         raise DataError(
             f"{path}: token id {int(sequences.max())} is outside the vocabulary of "
@@ -168,7 +168,7 @@ def read_vocab_sidecar(path: str | Path, data: bytes | None = None) -> Vocabular
     path = Path(path)
     try:
         entries = json.loads(path.read_bytes() if data is None else data)
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+    except (OSError, RecursionError, ValueError) as exc:  # bad UTF-8 or JSON, too deep
         raise DataError(f"cannot read vocabulary sidecar {path}: {exc}") from exc
     if not (isinstance(entries, list) and all(
             isinstance(e, dict) and {k: type(v) for k, v in e.items()} == _SIDECAR_TYPES

@@ -31,11 +31,13 @@ seeded by the run's one ``seed``: ``ExperimentConfig.split`` derives it.
 its record indices; it refuses a dataset too small to split.
 ``evaluate_on`` is the one scoring path of ``evaluate`` and ``compare``.
 
-``run_experiment`` runs each model as one ``_model_job``: in
-``_worker_count`` spawned worker processes with one BLAS thread each when
-there is more than one usable CPU and model, else in this process. Either
-way it collects the outcomes in config order, so the artifacts do not
-depend on the number of workers.
+``run_experiment`` reads and splits the dataset once and runs each model
+as one ``_model_job`` of that prepared run. ``_outcomes`` is the one job
+path: with more than one usable CPU and model it runs the jobs in
+``_worker_count`` spawned worker processes with one BLAS thread each, which
+take the prepared run from the parent and never read the data directory,
+else in this process. Either way it yields the outcomes in config order, so
+the artifacts do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def read_config_file(path: str | Path) -> dict:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+    except (OSError, RecursionError, ValueError) as exc:  # bad UTF-8 or JSON, too deep
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"{path}: config must be a JSON object")
@@ -264,8 +266,7 @@ def evaluate_on(spec, params, dataset, indices) -> MetricsReport:
 
 
 # A worker process's run, set once by ``_start_worker``: (config, dataset,
-# fingerprint, test indices, out_dir), or the ``DataError`` that kept the
-# worker from reading the dataset.
+# fingerprint, test indices, out_dir), as the parent prepared it.
 _worker_run = None
 
 
@@ -277,47 +278,42 @@ def _worker_count(n_models: int) -> int:
     return min(os.cpu_count() or 1, n_models)
 
 
-def _start_worker(config: ExperimentConfig, data_dir, out_dir, fingerprint: str,
-                  numpy_errors: dict) -> None:
-    """Initializer of a worker process: the parent's numpy error handling,
-    and the dataset, read once. A vocabulary that is not the one the parent
-    read is refused."""
+def _start_worker(run: tuple, numpy_errors: dict) -> None:
+    """Initializer of a worker process: the parent's numpy error handling
+    and its prepared run."""
     global _worker_run
     np.seterr(**numpy_errors)
-    try:
-        dataset, found = read_dataset_dir(data_dir)
-        if found != fingerprint:
-            raise DataError(f"{Path(data_dir) / dataset_io.VOCAB_FILENAME} changed while "
-                            "the run was starting")
-        _worker_run = (config, dataset, fingerprint,
-                       split_indices(len(dataset), config.split, "test"), Path(out_dir))
-    except DataError as exc:  # raised by the worker's jobs, so the run stops with exit 2
-        _worker_run = exc
+    _worker_run = run
 
 
-def _model_job(name: str, run=None) -> tuple[str, object]:
+def _model_job(name: str, run=None) -> tuple[dict, MetricsReport | None]:
     """Train, save and score model ``name`` of ``run`` (a worker passes none
-    and takes its own): ``("ok", MetricsReport)``, or ``("failed", message)``
-    on a ``NumericError``."""
-    run = _worker_run if run is None else run
-    if isinstance(run, DataError):
-        raise run
-    config, dataset, fingerprint, test_idx, out_dir = run
+    and takes the parent's): its manifest entry and its report, the report
+    ``None`` when a ``NumericError`` failed the model."""
+    config, dataset, fingerprint, test_idx, out_dir = _worker_run if run is None else run
     try:
         _, _, report = train_and_save(name, config, dataset, fingerprint, out_dir / name,
                                       test_idx)
     except NumericError as exc:
-        return "failed", str(exc)
-    return "ok", report
+        return {"status": "failed", "error": str(exc)}, None
+    return {"status": "ok"}, report
 
 
-def _pooled_outcomes(names, workers: int, initargs: tuple):
-    """``(name, outcome)`` of each model in config order, the models trained
-    in ``workers`` spawned processes with one BLAS thread each.
+def _outcomes(names, run: tuple):
+    """``(name, _model_job(name, run))`` of each model in config order.
 
+    When ``_worker_count`` gives more than one, the models train in that
+    many spawned processes with one BLAS thread each, which take ``run`` and
+    numpy's error handling from this process; else here, one after another.
     Closing the generator early, or an error in a job, cancels the jobs not
     yet started and waits for the running ones, so no worker outlives it.
     """
+    workers = _worker_count(len(names))
+    if workers == 1:
+        for name in names:
+            yield name, _model_job(name, run)
+        return
+
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import resource_tracker
@@ -329,7 +325,7 @@ def _pooled_outcomes(names, workers: int, initargs: tuple):
     started_tracker = tracker._fd is None
     try:
         with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
-                                 _start_worker, initargs) as pool:
+                                 _start_worker, (run, np.geterr())) as pool:
             # Workers start inside submit; OpenBLAS reads this as numpy loads in them.
             threads = os.environ.get("OPENBLAS_NUM_THREADS")
             os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -363,12 +359,12 @@ def run_experiment(config: ExperimentConfig, data_dir: str | Path, out_dir: str 
     part-way keeps none of an earlier run's files of the models it selected
     and no listing of them.
 
-    Each model is one ``_model_job``. With more than one usable CPU and
-    model, the jobs run in ``_worker_count`` spawned processes, each with one
-    BLAS thread, that read the dataset themselves; otherwise they run here,
-    one after another. The outcomes are collected in config order either way,
-    so every artifact is byte-identical to a one-process run. An error other
-    than a ``NumericError`` stops the run: the running jobs finish, and the
+    Each model is one ``_model_job`` of this prepared run, and
+    ``_outcomes`` yields their manifest entries and reports in config order,
+    whether the jobs ran here or in worker processes that took the run from
+    this one. So ``data_dir`` is read once, and every artifact is
+    byte-identical to a one-process run. An error other than a
+    ``NumericError`` stops the run: the running jobs finish, and the
     artifacts of the failing model and of every later one are removed, as a
     one-process run would never have written them.
     """
@@ -380,24 +376,14 @@ def run_experiment(config: ExperimentConfig, data_dir: str | Path, out_dir: str 
         MANIFEST_FILENAME, RESULTS_TABLE_FILENAME, RESULTS_CSV_FILENAME, *model_files])
     fresh = {name for name in names if not (out_dir / name).is_dir()}
 
-    workers = _worker_count(len(names))
-    if workers == 1:
-        run = (config, dataset, fingerprint, test_idx, out_dir)
-        outcomes = ((name, _model_job(name, run)) for name in names)
-    else:
-        outcomes = _pooled_outcomes(names, workers, (config, data_dir, out_dir, fingerprint,
-                                                     np.geterr()))
-    del dataset, test_idx  # workers read their own; the parent keeps none while they train
-
+    outcomes = _outcomes(names, (config, dataset, fingerprint, test_idx, out_dir))
     models: dict[str, dict] = {}
     reports: list[tuple[str, MetricsReport]] = []
     try:
-        for name, (status, value) in outcomes:
-            if status == "ok":
-                models[name] = {"status": "ok"}
-                reports.append((name, value))
-            else:
-                models[name] = {"status": "failed", "error": value}
+        for name, (entry, report) in outcomes:
+            models[name] = entry
+            if report is not None:
+                reports.append((name, report))
     except BaseException:
         outcomes.close()
         for name in names[len(models):]:

@@ -228,6 +228,10 @@ class TestMalformedHeader:
         (_set_spec("recurrent_stack", []), "recurrent_stack"),
         (_set_tensor("output.b", "offset", 10**6), "offset"),
         (_set_tensor("output.b", "shape", 4), "TypeError"),
+        # The vocabulary size comes from the embedding's own shape, so only
+        # the dimension rule refuses these; -1 would read the whole blob.
+        (_set_tensor("embedding", "shape", [-1, 4]), r"below 1 at: \['embedding'\]"),
+        (_set_tensor("embedding", "shape", [0, 4]), r"below 1 at: \['embedding'\]"),
         # The skeleton's fixed values: any other value is refused by name.
         (_set_spec("num_classes", 3), "num_classes is fixed"),
         (_set_spec("hidden_activation", "tanh"), "hidden_activation is fixed"),
@@ -237,6 +241,7 @@ class TestMalformedHeader:
     ], ids=["list", "no-version", "no-spec", "no-fingerprint", "no-dtype", "no-bytes",
             "no-tensors", "float16", "dropped-tensor", "wrong-shape", "renamed-tensor",
             "spec-width", "empty-stack", "offset-past-blob", "shape-not-list",
+            "negative-vocabulary", "empty-vocabulary",
             "fixed-num_classes", "fixed-hidden_activation", "fixed-cell_activation",
             "fixed-use_dense_hidden", "fixed-mask_padding"])
     def test_malformed_header(self, tmp_path, spec_and_params, edit, match):

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from narrative_seq import dataset_io, harness
-from narrative_seq.checkpoint import save_checkpoint
+from narrative_seq.checkpoint import MAGIC, save_checkpoint
 from narrative_seq.cli import main
 from narrative_seq.errors import NumericError
 from narrative_seq.neural_layers import init_params, predict_proba
@@ -446,6 +447,35 @@ def test_invalid_config_exits_without_traceback(tmp_path, encoded_dir):
     )
     assert proc.returncode == 2
     assert "data error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("reader", ["corpus", "config", "vocab", "checkpoint"])
+def test_deeply_nested_json_is_data_error(tmp_path, corpus_file, encoded_dir, model_file,
+                                          capsys, reader):
+    # json.loads gives up on deep nesting with a RecursionError; each JSON
+    # reader turns it into exit 2 before anything is written.
+    deep = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = _command_argv("compare", out, corpus_file, encoded_dir, model_file)
+    if reader == "corpus":
+        argv = ["ingest", "--data", str(path)]
+    elif reader == "config":
+        argv = ["--config", str(path), *argv]
+    elif reader == "vocab":
+        data = tmp_path / "data"
+        shutil.copytree(encoded_dir, data)
+        (data / dataset_io.VOCAB_FILENAME).write_text(deep, encoding="utf-8")
+        argv = _command_argv("train", out, corpus_file, data, model_file)
+    else:
+        body = deep.encode()
+        path.write_bytes(MAGIC + struct.pack("<Q", len(body)) + body)
+        argv = _command_argv("evaluate", out, corpus_file, encoded_dir, path)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "compare"])

@@ -1,5 +1,6 @@
 import ast
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,22 @@ class TestEncodedDataset:
         write_encoded_dataset(path, empty)
         loaded = read_encoded_dataset(path)
         assert len(loaded) == 0 and loaded.seq_len == 7
+
+    def test_read_peak_is_at_most_2_2_times_the_file(self, tmp_path):
+        # The file's bytes and one copy of the ids, which is already uint32.
+        rng = np.random.default_rng(0)
+        path = tmp_path / "big.nseq"
+        write_encoded_dataset(path, EncodedDataset(
+            sequences=rng.integers(0, 5000, size=(1000, 1000)).astype(np.uint32),
+            labels=rng.integers(0, 4, size=1000).astype(np.uint8), vocab_size=5000))
+        tracemalloc.start()
+        try:
+            loaded = read_encoded_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.sequences.dtype == np.uint32 and loaded.sequences.flags.writeable
+        assert peak <= 2.2 * path.stat().st_size
 
 
 class TestVocabSidecar:

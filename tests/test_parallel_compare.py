@@ -9,6 +9,7 @@ patch the job or count the workers patch ``_worker_count`` in the parent.
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,27 @@ def test_two_workers_write_the_same_bytes_as_one(tmp_path, monkeypatch, capfd, d
         assert len(one[2].splitlines()) == 10
 
 
+def test_workers_never_read_the_data_directory(tmp_path, monkeypatch, capfd,
+                                               encoded_fixture_dir):
+    # The workers take the dataset the parent read: a data directory that is
+    # gone right after that read still gives the one-worker bytes.
+    data = tmp_path / "data"
+    shutil.copytree(encoded_fixture_dir, data)
+    one = _compare(tmp_path, monkeypatch, capfd, 1)
+    real_read = harness.read_dataset_dir
+
+    def read_then_remove(path):
+        read = real_read(path)
+        shutil.rmtree(data)
+        return read
+
+    monkeypatch.setattr(harness, "read_dataset_dir", read_then_remove)
+    two = _compare(tmp_path, monkeypatch, capfd, 2)
+    assert not data.exists()
+    assert one[0] == 0
+    assert two == one
+
+
 def test_a_non_numeric_error_in_a_worker_stops_the_run(tmp_path, encoded_fixture_dir,
                                                          monkeypatch):
     # The workers take numpy's error handling from the parent, so under
@@ -120,15 +142,6 @@ def test_a_job_error_removes_the_failing_and_every_later_model(tmp_path, encoded
         spec, _ = load_checkpoint(out / model / harness.CHECKPOINT_FILENAME, fingerprint)
         assert spec.name == model
         json.loads((out / model / harness.METRICS_FILENAME).read_text(encoding="utf-8"))
-
-
-def test_a_worker_refuses_another_vocabulary(encoded_fixture_dir, tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "_worker_run", None)
-    config = harness.config_from_dict(SMALL)
-    harness._start_worker(config, encoded_fixture_dir, tmp_path, "0" * 64, np.geterr())
-    with pytest.raises(DataError, match="vocab.json changed"):
-        harness._model_job("sRNN")
-    assert not (tmp_path / "sRNN").exists()
 
 
 def test_worker_count_is_one_per_cpu_and_at_most_one_per_model():
