@@ -23,11 +23,16 @@ per-gate; the recurrent kernel concatenates each direction's gates into one
 fused ``[in, G*H]``, ``[H, G*H]`` and ``[G*H]`` set per call, sigmoid gates
 first, and is the only forward implementation of each cell: training,
 evaluation, the sequence functions and the ``*_step`` functions all run it.
-It projects the inputs with one GEMM per ``CHUNK_STEPS`` time steps, takes
-one recurrent GEMM (two for the GRU, whose candidate needs the reset gate)
-and one sigmoid call per step, which writes the sigmoid gates straight into
-that step's gate row (``out=``), and keeps its caches time-major
-(``[L, B, ...]``) so every per-step read and write is one contiguous block.
+It projects the inputs with one GEMM per ``CHUNK_STEPS`` time steps and
+takes one recurrent GEMM (two for the GRU, whose candidate needs the reset
+gate) and one sigmoid call per step. Each step's fused ``[B, G*H]``
+pre-activation is read through a gate-major view ``[G, B, H]``, and the
+activations write the step's gates with ``out=`` into gate-major blocks, so
+each gate is one contiguous ``[B, H]`` block and every per-step gate
+operation (the sigmoid's passes, the LSTM's ``c``, ``act(c)`` and ``h``, the
+GRU's ``r * h_prev``, candidate and ``h``) runs on contiguous memory. The
+caches are time-major (``[L, ...]``), so every per-step read and write is
+one contiguous block.
 
 The backward pass walks the same chunks from last to first. Its step loop
 keeps only the recurrence: one GEMM per step on the fused ``U`` for the
@@ -322,7 +327,7 @@ class DirectionCache:
     kind: CellKind
     x: Tensor                      # [L, B, in]
     h: Tensor                      # [L+1, B, H]; h[0] initial
-    gates: Tensor | None = None    # [L, B, G*H] activated gates, FUSED_GATES order
+    gates: Tensor | None = None    # [L, G, B, H] activated gates, FUSED_GATES order
     c: Tensor | None = None        # [L+1, B, H] LSTM cell states; c[0] initial
     ac: Tensor | None = None       # [L, B, H] LSTM act(c)
 
@@ -332,9 +337,9 @@ def _step_rows(n_rows: int, row_shape: tuple[int, ...], keep: bool) -> Tensor:
 
     Without ``keep`` every row is a view of one scratch row (stride 0 along
     the first axis), so the step loop indexes it by time exactly as it
-    indexes a kept sequence while holding only one row. The loop computes
-    each new row in full before it writes it, so overwriting the row it
-    just read is safe.
+    indexes a kept sequence while holding only one row. The loop finishes
+    every read of a row's old values before it writes the row's next ones,
+    so overwriting the row it just read is safe.
     """
     if keep:
         return np.empty((n_rows, *row_shape))
@@ -362,13 +367,18 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
     ``_step_rows``), and the state sequence is kept only with ``sequence``.
     The arithmetic is the same in every mode, so the states are
     bit-identical.
+
+    Gates are stored gate-major, ``[G, B, H]`` per step in ``FUSED_GATES``
+    order. The pre-activation is still one ``[B, G*H]`` sum; the activations
+    read it through ``reshape(B, G, H).transpose(1, 0, 2)`` and write each
+    gate's contiguous ``[B, H]`` block with ``out=``.
     """
     L, B, n_in = x.shape
     H = p[f"b{FUSED_GATES[kind][0]}"].shape[0] if h0 is None else h0.shape[-1]
     W, U, b = _fuse_params(kind, p, n_in, H)
     act, _ = _CELL_ACTIVATION[kind]
-    n_sig = _SIGMOID_GATES[kind] * H
-    cols = _gate_columns(kind, H)
+    n_gsig = _SIGMOID_GATES[kind]
+    n_sig = n_gsig * H
     h = _step_rows(L + 1, (B, H), cached or sequence)
     h[0] = 0.0 if h0 is None else h0
     c = ac = gates = None
@@ -377,7 +387,7 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
         c[0] = 0.0 if c0 is None else c0
         ac = _step_rows(L, (B, H), cached)
     if kind is not CellKind.SRNN:
-        gates = _step_rows(L, (B, W.shape[1]), cached)
+        gates = _step_rows(L, (len(FUSED_GATES[kind]), B, H), cached)
 
     for t0 in range(0, L, CHUNK_STEPS):
         # The bias is added after x W + h U, in the same order as a per-gate
@@ -388,19 +398,18 @@ def _direction_forward(x: Tensor, kind: CellKind, p: Mapping[str, Tensor],
             if kind is CellKind.SRNN:
                 h[t + 1] = act(xw_t + matmul(h_prev, U) + b)
             elif kind is CellKind.LSTM:
-                pre = xw_t + matmul(h_prev, U) + b
-                g_t = gates[t]
-                sigmoid(pre[:, :n_sig], out=g_t[:, :n_sig])
-                g_t[:, n_sig:] = act(pre[:, n_sig:])
-                i, f, o, g = (g_t[:, cols[k]] for k in ("_i", "_f", "_o", "_g"))
+                pre = (xw_t + matmul(h_prev, U) + b).reshape(B, -1, H).transpose(1, 0, 2)
+                i, f, o, g = gates[t]
+                sigmoid(pre[:n_gsig], out=gates[t, :n_gsig])
+                act(pre[n_gsig], out=g)
                 c[t + 1] = f * c[t] + i * g
                 ac[t] = act(c[t + 1])
                 h[t + 1] = o * ac[t]
             else:
-                g_t = gates[t]
-                sigmoid(xw_t[:, :n_sig] + matmul(h_prev, U) + b[:n_sig], out=g_t[:, :n_sig])
-                z, r, hbar = (g_t[:, cols[k]] for k in ("_z", "_r", "_h"))
-                hbar[:] = act(xw_t[:, n_sig:] + matmul(r * h_prev, p["U_h"]) + b[n_sig:])
+                z, r, hbar = gates[t]
+                pre = xw_t[:, :n_sig] + matmul(h_prev, U) + b[:n_sig]
+                sigmoid(pre.reshape(B, -1, H).transpose(1, 0, 2), out=gates[t, :n_gsig])
+                act(xw_t[:, n_sig:] + matmul(r * h_prev, p["U_h"]) + b[n_sig:], out=hbar)
                 h[t + 1] = (1.0 - z) * h_prev + z * hbar
     cache = DirectionCache(kind, x, h, gates, c, ac) if cached else None
     return (h[1:] if sequence else h[-1]), (None if c is None else c[-1]), cache
@@ -420,16 +429,18 @@ def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Te
     (the GRU adds one on ``U_h`` for its candidate). After the loop, ``dW``,
     ``dU``, the GRU's ``dU_h`` and the input gradient are one GEMM each over
     the chunk's ``chunk*B`` rows and ``db`` is one sum; the factors that
-    depend on the cache alone are formed once per chunk before it. Sums thus
-    run within a chunk and then across chunks, so the bits depend on
-    ``CHUNK_STEPS`` and the values do only by rounding.
+    depend on the cache alone are formed once per chunk before it, in the
+    rows' ``[chunk, B, G*H]`` layout, from ``transpose(0, 2, 1, 3)`` views of
+    the gate-major cache. Sums thus run within a chunk and then across
+    chunks, so the bits depend on ``CHUNK_STEPS`` and the values do only by
+    rounding.
     """
     kind = cache.kind
     _, act_deriv = _CELL_ACTIVATION[kind]
     L, B, n_in = cache.x.shape
     H = cache.h.shape[2]
     W, U, _ = _fuse_params(kind, p, n_in, H)
-    n_sig, n_u = _SIGMOID_GATES[kind] * H, U.shape[1]
+    n_gsig, n_u = _SIGMOID_GATES[kind], U.shape[1]
     cols = _gate_columns(kind, H)
     dW, dU, db = np.zeros(W.shape), np.zeros(U.shape), np.zeros(W.shape[1])
     dU_h = np.zeros((H, H)) if kind is CellKind.GRU else None
@@ -447,19 +458,20 @@ def _direction_backward(d_out: Tensor, cache: DirectionCache, p: Mapping[str, Te
         if kind is CellKind.SRNN:
             fac = act_deriv(cache.h[t0 + 1:t1 + 1])
         else:
-            gates = cache.gates[t0:t1]
+            gates = cache.gates[t0:t1].transpose(0, 2, 1, 3)
             fac = np.empty(gates.shape)
-            fac[..., :n_sig] = _sigmoid_deriv(gates[..., :n_sig])
+            fac[:, :, :n_gsig] = _sigmoid_deriv(gates[:, :, :n_gsig])
         if kind is CellKind.LSTM:
-            i, f, o, g = (gates[..., cols[k]] for k in ("_i", "_f", "_o", "_g"))
+            i, f, o, g = gates.transpose(2, 0, 1, 3)
             # i, f and o scale g, c[t] and act(c[t+1]) in the forward.
-            fac[..., :n_sig] *= np.concatenate([g, cache.c[t0:t1], cache.ac[t0:t1]], axis=2)
-            fac[..., cols["_g"]], o_dac = i * act_deriv(g), o * act_deriv(cache.ac[t0:t1])
+            fac[:, :, :n_gsig] *= np.stack([g, cache.c[t0:t1], cache.ac[t0:t1]], axis=2)
+            fac[:, :, -1], o_dac = i * act_deriv(g), o * act_deriv(cache.ac[t0:t1])
         elif kind is CellKind.GRU:
-            z, r, hbar = (gates[..., cols[k]] for k in ("_z", "_r", "_h"))
+            z, r, hbar = gates.transpose(2, 0, 1, 3)
             # z scales hbar - h[t]; r scales h[t] inside the candidate.
-            fac[..., :n_sig] *= np.concatenate([hbar - h_prev, h_prev], axis=2)
-            fac[..., cols["_h"]], keep_z = z * act_deriv(hbar), 1.0 - z
+            fac[:, :, :n_gsig] *= np.stack([hbar - h_prev, h_prev], axis=2)
+            fac[:, :, -1], keep_z = z * act_deriv(hbar), 1.0 - z
+        fac = fac.reshape(t1 - t0, B, -1)
 
         for s in range(t1 - t0 - 1, -1, -1):
             t, dp, fs = t0 + s, d_pre[s], fac[s]
@@ -743,10 +755,12 @@ def model_backward(cache: ForwardCache, labels: Tensor | int, spec: ModelSpec,
                 grads[prefix + name] += value
 
     # Batch-major rows, so repeated ids accumulate in the same order as the
-    # records' own token order.
-    ids = cache.ids.reshape(-1)
-    np.add.at(grads["embedding"], ids,
-              d_next.transpose(1, 0, 2).reshape(-1, spec.embedding_dim))
+    # records' own token order. The scatter runs on flat element indices,
+    # which takes numpy's fast 1-D path; each element still sums in token
+    # order, so the bits match the row-wise scatter.
+    E = spec.embedding_dim
+    flat = (cache.ids.reshape(-1, 1).astype(np.intp) * E + np.arange(E)).reshape(-1)
+    np.add.at(grads["embedding"].reshape(-1), flat, d_next.transpose(1, 0, 2).reshape(-1))
     return grads
 
 

@@ -29,7 +29,7 @@ from narrative_seq.neural_layers import (
     recurrent_forward,
     srnn_step,
 )
-from narrative_seq.tensor_core import SeededRng
+from narrative_seq.tensor_core import SeededRng, sigmoid
 from narrative_seq.zoo import ZOO_NAMES, build_spec
 
 # ---------------------------------------------------------------------------
@@ -349,6 +349,54 @@ class TestLayerRunner:
             assert owners <= allowed[name], f"{name} called from {sorted(owners - allowed[name])}"
 
 
+class TestGateLayout:
+    """Each gate of each step is one C-contiguous [B, H] block, so every
+    per-step gate operation runs on contiguous memory."""
+
+    @pytest.mark.parametrize("name", ["LSTM", "GRU", "BLSTM"])
+    def test_cached_gates_are_gate_major(self, name):
+        B, L, H = 3, CHUNK_STEPS + 6, 4
+        spec = build_spec(name, embedding_dim=3, hidden_units=H, dense_hidden_units=5)
+        params = init_params(spec, 20, SeededRng(44, 2))
+        ids = np.random.default_rng(8).integers(1, 20, size=(B, L))
+        _, cache = model_forward(ids, spec, params)
+        for direction in cache.layers[0]:
+            G = len(neural_layers.FUSED_GATES[direction.kind])
+            assert direction.gates.shape == (L, G, B, H)
+            assert all(direction.gates[t, k].flags.c_contiguous
+                       for t in range(L) for k in range(G))
+
+    @pytest.mark.parametrize("mode", ["cached", "forward_only", "sequence", "step"])
+    @pytest.mark.parametrize("kind", [CellKind.LSTM, CellKind.GRU])
+    def test_sigmoid_writes_contiguous_gate_blocks(self, kind, mode, monkeypatch):
+        outs = []
+
+        def recording(x, out=None):
+            outs.append(out)
+            return sigmoid(x, out=out)
+
+        monkeypatch.setattr(neural_layers, "sigmoid", recording)
+        B, L, H, E = 3, 5, 4, 3
+        name = "LSTM" if kind is CellKind.LSTM else "GRU"
+        spec = build_spec(name, embedding_dim=E, hidden_units=H, dense_hidden_units=5)
+        params = init_params(spec, 20, SeededRng(45, 2))
+        p = {k[len("layer0."):]: v for k, v in params.items() if k.startswith("layer0.")}
+        ids = np.random.default_rng(9).integers(1, 20, size=(B, L))
+        x = SeededRng(46).uniform((B, L, E), -1, 1)
+        if mode == "cached":
+            model_forward(ids, spec, params)
+        elif mode == "forward_only":
+            predict_proba(ids, spec, params)
+        elif mode == "sequence":
+            recurrent_forward(x, RecurrentLayerSpec(kind, H, returns_sequence=True), p)
+        elif kind is CellKind.LSTM:
+            lstm_step(x[:, 0], np.zeros((B, H)), np.zeros((B, H)), p)
+        else:
+            gru_step(x[:, 0], np.zeros((B, H)), p)
+        assert outs
+        assert all(out is not None and out.flags.c_contiguous for out in outs)
+
+
 class TestEmbedding:
     def test_zero_row_lookup(self):
         E = np.arange(12, dtype=np.float64).reshape(4, 3)
@@ -374,6 +422,26 @@ class TestEmbedding:
         touched = sorted(np.nonzero(np.abs(grads["embedding"]).sum(axis=1))[0])
         assert set(touched) <= {2, 5}
         assert grads["embedding"].shape == params["embedding"].shape
+
+    def test_gradient_scatter_matches_the_row_scatter_bit_for_bit(self, monkeypatch):
+        # Three ids over 2 x 150 tokens: every row gathers many contributions.
+        spec = build_spec("GRU", embedding_dim=5, hidden_units=4, dense_hidden_units=4)
+        params = init_params(spec, 10, SeededRng(47, 2))
+        ids = np.random.default_rng(10).integers(1, 4, size=(2, 150)).astype(np.uint32)
+        d_inputs = []
+        layer_backward = neural_layers._layer_backward
+
+        def recording(*args):
+            d_x, grads = layer_backward(*args)
+            d_inputs.append(d_x)
+            return d_x, grads
+
+        monkeypatch.setattr(neural_layers, "_layer_backward", recording)
+        _, cache = model_forward(ids, spec, params)
+        grads = model_backward(cache, np.array([1, 3]), spec, params)
+        expected = np.zeros_like(params["embedding"])
+        np.add.at(expected, ids.reshape(-1), d_inputs[-1].transpose(1, 0, 2).reshape(-1, 5))
+        assert np.array_equal(grads["embedding"], expected)
 
 
 class TestPredictProba:

@@ -62,3 +62,25 @@ def test_workloads_outside_the_benchmark_file_are_refused():
     with pytest.raises(SystemExit) as exit_info:
         paired_bench.main(["--parent", "HEAD", "--workloads", "eval_paper,bogus"])
     assert exit_info.value.code == 2
+
+
+def test_trajectory_holds_the_table_figures_and_every_seed():
+    values = {("eval_paper", "parent", "tokens_per_s"): PARENT,
+              ("eval_paper", "change", "tokens_per_s"): CHANGE,
+              ("eval_paper", "parent", "wall_s"): PARENT,
+              ("eval_paper", "change", "wall_s"): CHANGE}
+    better = {"tokens_per_s": "higher", "wall_s": "lower"}
+    doc = paired_bench.trajectory("0" * 40, list(range(10)), values, better,
+                                  ["change eval_paper seed 3: correct False, failed 0"])
+    doc = json.loads(json.dumps(doc))
+    assert doc["parent"] == "0" * 40 and doc["seeds"] == list(range(10))
+    assert doc["failed"] == ["change eval_paper seed 3: correct False, failed 0"]
+    assert list(doc["workloads"]) == ["eval_paper"]
+    tokens = doc["workloads"]["eval_paper"]["tokens_per_s"]
+    assert tokens["better"] == "higher"
+    assert tokens["parent"] == {"values": PARENT, "q1": 10.0, "median": 11.0, "q3": 12.0}
+    assert tokens["change"] == {"values": CHANGE, "q1": 12.0, "median": 12.5, "q3": 13.0}
+    assert tokens["wins"] == 8 and tokens["pairs"] == 10
+    assert tokens["delta"] == pytest.approx(12.5 / 11.0 - 1.0)
+    assert tokens["parent_spread"] == pytest.approx(2.0 / 11.0)
+    assert doc["workloads"]["eval_paper"]["wall_s"]["wins"] == 1

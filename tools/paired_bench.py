@@ -1,10 +1,11 @@
 """Paired benchmark runs of a parent commit against this tree.
 
     python3 tools/paired_bench.py --parent REV [--workloads eval_paper,train_paper]
-                                  [--seeds 0-9]
+                                  [--seeds 0-9] [--json BENCH_<n>.json]
 
-The parent is checked out with ``git worktree`` in a temporary directory,
-which is removed again on exit, Ctrl-C included. For each workload and seed,
+The parent's committed files are unpacked with ``git archive`` into a
+temporary directory, which is removed again on exit, Ctrl-C included; the
+repository's own checkout state is not touched. For each workload and seed,
 each tree runs its own ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0``, the parent first on even seeds and this tree first on odd ones,
 so host drift falls on both sides alike. This tree is the working tree the
@@ -16,7 +17,10 @@ some), the end-to-end metrics and which direction of each is better. The
 table printed at the end has one row per workload and end-to-end metric:
 each side's median [Q1, Q3], the change in median, the pairs the change won
 (a tie counts for neither side) and the parent's interquartile spread over
-its median. The exit status is 1 if any run was not ``correct``,
+its median. ``--json`` also writes the same figures to a file: the parent
+revision, the seeds, and per workload and metric each side's per-seed values
+with their quartiles, the change in median, the wins and the parent spread,
+plus every failed run. The exit status is 1 if any run was not ``correct``,
 had ``failed`` above 0 or ended without a result line.
 """
 
@@ -75,6 +79,27 @@ def table_row(workload: str, metric: str, s: dict) -> str:
             f"| {s['wins']}/{s['pairs']} | {s['spread']:.1%} |")
 
 
+def trajectory(parent: str, seeds: list[int], values: dict, better: dict[str, str],
+               problems: list[str]) -> dict:
+    """The ``--json`` document; ``values[workload, side, metric]`` lists one
+    value per seed, in ``seeds`` order."""
+    workloads = dict.fromkeys(w for w, _, _ in values)
+    doc = {"parent": parent, "seeds": seeds, "workloads": {}, "failed": problems}
+    for workload in workloads:
+        metrics = doc["workloads"][workload] = {}
+        for metric, direction in better.items():
+            runs = {side: values[workload, side, metric] for side in ("parent", "change")}
+            s = summarize(runs["parent"], runs["change"], direction)
+            metrics[metric] = {
+                "better": direction,
+                **{side: {"values": runs[side], "q1": s[side][0], "median": s[side][1],
+                          "q3": s[side][2]} for side in runs},
+                "delta": s["delta"], "wins": s["wins"], "pairs": s["pairs"],
+                "parent_spread": s["spread"],
+            }
+    return doc
+
+
 def seed_list(text: str) -> list[int]:
     """``"0-9"`` or ``"1,3,5"`` as a list of seeds."""
     if "-" in text:
@@ -101,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="revision to compare against")
     parser.add_argument("--workloads", help="comma-separated subset of BENCHMARK.json's")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("0-9"))
+    parser.add_argument("--json", type=Path, help="also write the figures to this file")
     args = parser.parse_args(argv)
     benchmark = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     better = directions(benchmark)
@@ -113,31 +139,31 @@ def main(argv: list[str] | None = None) -> int:
 
     problems: list[str] = []
     values = {(w, side, m): [] for w in workloads for side in ("parent", "change") for m in better}
+    parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
+                             f"{args.parent}^{{commit}}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        parent_tree = Path(tmp) / "parent"
-        try:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                            str(parent_tree), args.parent], check=True)
-            for workload in workloads:
-                for seed in args.seeds:
-                    order = [("parent", parent_tree), ("change", ROOT)]
-                    for side, tree in order if seed % 2 == 0 else order[::-1]:
-                        result = run_once(tree, workload, seed, benchmark["run_seconds"])
-                        if result is None:
-                            print(f"{side} {workload} seed {seed}: no result", file=sys.stderr)
-                            return 1
-                        if not result["correct"] or result["failed"] > 0:
-                            problems.append(f"{side} {workload} seed {seed}: correct "
-                                            f"{result['correct']}, failed {result['failed']}")
-                        for metric in better:
-                            values[workload, side, metric].append(
-                                result["metrics"][metric]["value"])
-                        print(f"{side} {workload} seed {seed}: " + ", ".join(
-                            f"{m} {values[workload, side, m][-1]:.4g}" for m in better),
-                            file=sys.stderr)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(parent_tree)], check=False)
+        parent_tree = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        for workload in workloads:
+            for seed in args.seeds:
+                order = [("parent", parent_tree), ("change", ROOT)]
+                for side, tree in order if seed % 2 == 0 else order[::-1]:
+                    result = run_once(tree, workload, seed, benchmark["run_seconds"])
+                    if result is None:
+                        print(f"{side} {workload} seed {seed}: no result", file=sys.stderr)
+                        return 1
+                    if not result["correct"] or result["failed"] > 0:
+                        problems.append(f"{side} {workload} seed {seed}: correct "
+                                        f"{result['correct']}, failed {result['failed']}")
+                    for metric in better:
+                        values[workload, side, metric].append(
+                            result["metrics"][metric]["value"])
+                    print(f"{side} {workload} seed {seed}: " + ", ".join(
+                        f"{m} {values[workload, side, m][-1]:.4g}" for m in better),
+                        file=sys.stderr)
 
     print("| workload | metric | parent | change | Δ median | wins | parent spread |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
@@ -148,6 +174,9 @@ def main(argv: list[str] | None = None) -> int:
             print(table_row(workload, metric, s))
     for problem in problems:
         print(f"FAILED {problem}")
+    if args.json:
+        doc = trajectory(parent, args.seeds, values, better, problems)
+        args.json.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 1 if problems else 0
 
 
